@@ -9,10 +9,9 @@ import numpy as np
 
 from gmsfem import (BoundaryCondition, assemble_load, assemble_stiffness,
                     build_coarse_basis, build_coarse_mesh, build_fine_mesh,
-                    build_offline, fine_grid_snapshots, multiscale_pou,
-                    relative_errors, solve_coarse_galerkin, solve_fine)
+                    multiscale_pou, offline_spaces, relative_errors,
+                    solve_coarse_galerkin, solve_fine)
 from gmsfem.fields import channels_and_inclusions
-from gmsfem.spaces import LocalRegion, assemble_a_form, assemble_s_form
 
 fine = build_fine_mesh(40, 40)
 coarse = build_coarse_mesh(fine, 4, 4)
@@ -23,13 +22,7 @@ print(f"fine {fine.nx}x{fine.ny}, coarse {coarse.Nx}x{coarse.Ny}, "
 pou = multiscale_pou(coarse, kappa)
 print(f"multiscale partition of unity: sum defect {pou.sum_defect():.2e}")
 
-spaces = {}
-for i, nb in enumerate(coarse.neighborhoods):
-    region = LocalRegion.from_neighborhood(nb)
-    snap = fine_grid_snapshots(region)
-    a_mat = assemble_a_form(fine, region, kappa, "pou_grad_mass", pou)
-    s_mat = assemble_s_form(fine, region, kappa)
-    spaces[i] = build_offline(snap, a_mat, s_mat, count=4)
+spaces = offline_spaces(coarse, kappa, "fine", pou=pou, count=4)
 print(f"local spaces: 4 modes on each of {len(spaces)} neighborhoods")
 
 basis = build_coarse_basis(coarse, pou, spaces)

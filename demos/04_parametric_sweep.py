@@ -11,11 +11,9 @@ import numpy as np
 
 from gmsfem import (BoundaryCondition, assemble_load, build_affine_operator,
                     build_coarse_basis, build_coarse_mesh, build_fine_mesh,
-                    build_offline, evaluate, fine_grid_snapshots,
-                    multiscale_pou)
+                    evaluate, multiscale_pou, offline_spaces)
 from gmsfem.fem import free_nodes
 from gmsfem.fields import affine_four_term
-from gmsfem.spaces import LocalRegion, assemble_a_form, assemble_s_form
 
 fine = build_fine_mesh(40, 40)
 coarse = build_coarse_mesh(fine, 4, 4)
@@ -26,13 +24,7 @@ print(f"affine coefficient with {aff.Q} terms, parameter box "
 # offline: one basis at the box midpoint
 k_mid = evaluate(aff, aff.parameter([0.5] * 4))
 pou = multiscale_pou(coarse, k_mid)
-spaces = {}
-for i, nb in enumerate(coarse.neighborhoods):
-    region = LocalRegion.from_neighborhood(nb)
-    snap = fine_grid_snapshots(region)
-    a_mat = assemble_a_form(fine, region, k_mid, "pou_grad_mass", pou)
-    s_mat = assemble_s_form(fine, region, k_mid)
-    spaces[i] = build_offline(snap, a_mat, s_mat, count=4)
+spaces = offline_spaces(coarse, k_mid, "fine", pou=pou, count=4)
 basis = build_coarse_basis(coarse, pou, spaces)
 op = build_affine_operator(fine, aff, basis)
 print(f"precomputed {aff.Q} coarse blocks of size {basis.dim}x{basis.dim}")

@@ -11,10 +11,10 @@ from .fem import (BoundaryCondition, assemble_stiffness, assemble_mass,
                   relative_errors, ErrorReport)
 from .pou import (PartitionOfUnity, bilinear_pou, multiscale_pou,
                   energy_min_pou)
-from .spaces import (LocalRegion, SnapshotSpace, ReducedSpace, FormChoice,
+from .spaces import (LocalRegion, SnapshotSpace, ReducedSpace,
                      harmonic_snapshots, fine_grid_snapshots,
                      spectral_snapshots, build_offline, build_online,
-                     truncate, count_unbounded)
+                     offline_spaces, truncate, count_unbounded)
 from .coupling import (CoarseBasis, CoarseSolution, build_coarse_basis,
                        solve_coarse_galerkin, solve_coarse_pg, solve_fine,
                        solve_multiscale, build_affine_operator)

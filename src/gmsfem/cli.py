@@ -20,9 +20,8 @@ from .fem import (BoundaryCondition, assemble_load, assemble_stiffness,
 from .mesh import build_coarse_mesh, build_fine_mesh
 from .pou import bilinear_pou, energy_min_pou, multiscale_pou
 from .solvers import NumericalError
-from .spaces import (LocalRegion, build_offline, build_online,
-                     fine_grid_snapshots, harmonic_snapshots,
-                     assemble_a_form, assemble_s_form)
+from .spaces import (A_FORMS, LocalRegion, build_online, local_forms,
+                     offline_spaces, snapshot_space)
 from .studies import (run_anisotropic_study, run_convergence_study,
                       run_eigendecay_study, run_nonlinear_study,
                       run_parametric_study, run_precond_study)
@@ -108,27 +107,30 @@ def _meshes(cfg: dict):
     return fine, coarse
 
 
-def _local_spaces(cfg: dict, fine, coarse, kappa, pou):
+# spectral snapshots need coefficient samples, which a config does not give
+SNAPSHOTS = ("fine", "harmonic")
+
+
+def _snapshot_kind(cfg: dict) -> str:
     kind = cfg.get("snapshots", "fine")
+    if kind not in SNAPSHOTS:
+        raise ConfigError(f"snapshots must be one of {SNAPSHOTS}, not {kind!r}")
+    return kind
+
+
+def _offline_options(cfg: dict) -> dict:
+    """Validated offline_spaces keywords of a pipeline config."""
+    a_form = cfg.get("a_form", "pou_grad_mass")
+    if a_form not in A_FORMS:
+        raise ConfigError(f"a_form must be one of {A_FORMS}, not {a_form!r}")
     count = cfg.get("count")
     threshold = cfg.get("threshold")
     if count is None and threshold is None:
         raise ConfigError("config needs 'count' or 'threshold'")
-    a_form = cfg.get("a_form", "pou_grad_mass")
-    spaces = {}
-    for i in range(coarse.N_v):
-        region = LocalRegion.from_neighborhood(coarse.neighborhoods[int(i)])
-        if kind == "fine":
-            snap = fine_grid_snapshots(region)
-        elif kind == "harmonic":
-            snap = harmonic_snapshots(fine, region, [kappa])
-        else:
-            raise ConfigError(f"unknown snapshot kind {kind!r}")
-        a_mat = assemble_a_form(fine, region, kappa, a_form, pou)
-        s_mat = assemble_s_form(fine, region, kappa)
-        spaces[int(i)] = build_offline(snap, a_mat, s_mat,
-                                       count=count, threshold=threshold)
-    return spaces
+    if count is not None and not isinstance(count, int):
+        raise ConfigError(f"count must be an integer, not {count!r}")
+    return dict(snapshots=_snapshot_kind(cfg), a_form=a_form, count=count,
+                threshold=threshold)
 
 
 def cmd_mesh_info(args) -> int:
@@ -156,19 +158,12 @@ def cmd_gen_field(args) -> int:
 
 def cmd_snapshots(args) -> int:
     cfg = _load_config(args.config)
+    kind = _snapshot_kind(cfg)
     fine, coarse = _meshes(cfg)
     kappa = _field_from_config(cfg, fine)
-    kind = cfg.get("snapshots", "fine")
-    sizes = []
-    for i in range(coarse.N_v):
-        region = LocalRegion.from_neighborhood(coarse.neighborhoods[int(i)])
-        if kind == "fine":
-            snap = fine_grid_snapshots(region)
-        elif kind == "harmonic":
-            snap = harmonic_snapshots(fine, region, [kappa])
-        else:
-            raise ConfigError(f"unknown snapshot kind {kind!r}")
-        sizes.append(snap.M_snap)
+    sizes = [snapshot_space(fine, LocalRegion.from_neighborhood(nb), kind,
+                            kappa).M_snap
+             for nb in coarse.neighborhoods]
     print(f"{kind} snapshots on {len(sizes)} neighborhoods: "
           f"min {min(sizes)}, max {max(sizes)} columns")
     return 0
@@ -176,10 +171,11 @@ def cmd_snapshots(args) -> int:
 
 def cmd_offline(args) -> int:
     cfg = _load_config(args.config)
+    opts = _offline_options(cfg)
     fine, coarse = _meshes(cfg)
     kappa = _field_from_config(cfg, fine)
     pou = _pou_from_config(cfg, coarse, kappa)
-    spaces = _local_spaces(cfg, fine, coarse, kappa, pou)
+    spaces = offline_spaces(coarse, kappa, pou=pou, **opts)
     dims = [s.dim for s in spaces.values()]
     total = sum(dims)
     print(f"offline spaces: {len(spaces)} neighborhoods, total dim {total}, "
@@ -198,33 +194,31 @@ def cmd_offline(args) -> int:
 
 def cmd_online(args) -> int:
     cfg = _load_config(args.config)
-    fine, coarse = _meshes(cfg)
-    kappa = _field_from_config(cfg, fine)
-    pou = _pou_from_config(cfg, coarse, kappa)
-    offline = _local_spaces(cfg, fine, coarse, kappa, pou)
+    opts = _offline_options(cfg)
     on_count = cfg.get("online_count")
     if on_count is None:
         raise ConfigError("config needs 'online_count'")
-    dims = []
-    for i, off in offline.items():
-        region = off.region
-        a_mat = assemble_a_form(fine, region, kappa,
-                                cfg.get("a_form", "pou_grad_mass"), pou)
-        s_mat = assemble_s_form(fine, region, kappa)
-        on = build_online(off, a_mat, s_mat, count=min(int(on_count), off.dim))
-        dims.append(on.dim)
+    fine, coarse = _meshes(cfg)
+    kappa = _field_from_config(cfg, fine)
+    pou = _pou_from_config(cfg, coarse, kappa)
+    offline = offline_spaces(coarse, kappa, pou=pou, **opts)
+    forms = local_forms(fine, kappa, opts["a_form"], pou)
+    dims = [build_online(off, *forms(off.region),
+                         count=min(int(on_count), off.dim)).dim
+            for off in offline.values()]
     print(f"online spaces: {len(dims)} neighborhoods, total dim {sum(dims)}")
     return 0
 
 
 def cmd_solve(args) -> int:
     cfg = _load_config(args.config)
+    opts = _offline_options(cfg)
     fine, coarse = _meshes(cfg)
     kappa = _field_from_config(cfg, fine)
     pou = _pou_from_config(cfg, coarse, kappa)
     bc = _bc_from_config(cfg)
     f = float(cfg.get("source", 1.0))
-    spaces = _local_spaces(cfg, fine, coarse, kappa, pou)
+    spaces = offline_spaces(coarse, kappa, pou=pou, **opts)
     basis = build_coarse_basis(coarse, pou, spaces)
     A = assemble_stiffness(fine, kappa)
     b = assemble_load(fine, f)
@@ -262,7 +256,6 @@ def cmd_study(args) -> int:
             raise ConfigError(f"unknown config keys for {args.command}: {sorted(bad)}")
         kwargs.update(cfg)
     kwargs["workers"] = args.workers
-    kwargs["seed"] = args.seed
     if args.out:
         kwargs["out"] = args.out
     rows = runner(**kwargs)
@@ -278,13 +271,7 @@ def cmd_self_test(args) -> int:
     kappa = field_presets.channels_and_inclusions(fine, 1e3)
     pou = multiscale_pou(coarse, kappa)
     defect = pou.sum_defect()
-    spaces = {}
-    for i in range(coarse.N_v):
-        region = LocalRegion.from_neighborhood(coarse.neighborhoods[int(i)])
-        snap = fine_grid_snapshots(region)
-        a_mat = assemble_a_form(fine, region, kappa, "pou_grad_mass", pou)
-        s_mat = assemble_s_form(fine, region, kappa)
-        spaces[int(i)] = build_offline(snap, a_mat, s_mat, count=3)
+    spaces = offline_spaces(coarse, kappa, "fine", pou=pou, count=3)
     basis = build_coarse_basis(coarse, pou, spaces)
     bc = BoundaryCondition(lambda x, y: x + y)
     A = assemble_stiffness(fine, kappa)
@@ -308,7 +295,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="output file (CSV, field, or solution)")
     p.add_argument("--workers", type=int, default=1,
                    help="worker threads for per-neighborhood work")
-    p.add_argument("--seed", type=int, default=0, help="random seed")
     sub = p.add_subparsers(dest="command", required=True)
     for name in ("mesh-info", "gen-field", "snapshots", "offline", "online",
                  "solve", "self-test", *_STUDIES):

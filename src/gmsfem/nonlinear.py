@@ -18,8 +18,7 @@ from .fem import BoundaryCondition, assemble_load, assemble_mass, assemble_stiff
 from .mesh import CoarseMesh
 from .coupling import build_coarse_basis, solve_coarse_galerkin
 from .solvers import NumericalError
-from .spaces import (LocalRegion, ReducedSpace, SnapshotSpace, build_offline,
-                     build_online, fine_grid_snapshots, spectral_snapshots)
+from .spaces import build_online, offline_spaces
 
 
 @dataclass
@@ -87,58 +86,21 @@ class PicardState:
     sample_values: np.ndarray
 
 
-def nonlinear_snapshots(coarse: CoarseMesh, nl: NonlinearCoefficient,
-                        sample_values: np.ndarray, snap_per_sample: int) -> dict:
-    """The offline-count-independent stage of build_nonlinear_offline.
-
-    Per neighborhood and sample value: the dominant eigenvectors of the
-    Neumann pencil (kappa-mass, kappa-stiffness).  Returns, per coarse
-    node, their union and the mass and stiffness forms of the
-    sample-averaged coefficient, as (SnapshotSpace, a_mat, s_mat); built
-    once, it serves every offline count through offline_from_snapshots.
-    """
-    fine = coarse.fine
-    fields = [nl.at_value(v) for v in sample_values]
-    avg = CoefficientField(np.mean([f.values for f in fields], axis=0))
-    stage = {}
-    for i in range(coarse.N_v):
-        nb = coarse.neighborhoods[i]
-        region = LocalRegion.from_neighborhood(nb)
-        cols = []
-        for f in fields:
-            A_t = assemble_mass(fine, weight=f, restrict_to=region.nodes,
-                                cells=region.cells)
-            S_t = assemble_stiffness(fine, f, restrict_to=region.nodes,
-                                     cells=region.cells)
-            snap = spectral_snapshots(A_t, S_t, snap_per_sample, region)
-            cols.append(snap.columns)
-        union = SnapshotSpace(region=region, columns=np.hstack(cols),
-                              kind="local-spectral")
-        a_mat = assemble_mass(fine, weight=avg, restrict_to=region.nodes,
-                              cells=region.cells)
-        s_mat = assemble_stiffness(fine, avg, restrict_to=region.nodes,
-                                   cells=region.cells)
-        stage[int(i)] = (union, a_mat, s_mat)
-    return stage
-
-
-def offline_from_snapshots(stage: dict, offline_count: int) -> dict:
-    """Offline spaces of offline_count modes from a nonlinear_snapshots stage."""
-    return {i: build_offline(union, a_mat, s_mat, count=offline_count)
-            for i, (union, a_mat, s_mat) in stage.items()}
-
-
 def build_nonlinear_offline(coarse: CoarseMesh, nl: NonlinearCoefficient,
                             sample_values: np.ndarray, snap_per_sample: int,
-                            offline_count: int) -> dict:
+                            offline_count) -> dict | list:
     """Offline spaces from spectral snapshots over the frozen-exponent samples.
 
     Per neighborhood and sample value: the dominant eigenvectors of the
     Neumann pencil (kappa-mass, kappa-stiffness); their union is reduced
-    with the sample-averaged coefficient.
+    with the sample-averaged coefficient.  A list of offline counts gives
+    a list of spaces, one per count, from one snapshot stage.
     """
-    stage = nonlinear_snapshots(coarse, nl, sample_values, snap_per_sample)
-    return offline_from_snapshots(stage, offline_count)
+    fields = [nl.at_value(v) for v in sample_values]
+    avg = CoefficientField(np.mean([f.values for f in fields], axis=0))
+    return offline_spaces(coarse, avg, "spectral", "kappa_mass",
+                          count=offline_count, samples=fields,
+                          snap_per_sample=snap_per_sample)
 
 
 def picard_solve(coarse: CoarseMesh, nl: NonlinearCoefficient, f,

@@ -2,11 +2,13 @@
 
 Snapshot columns are fine-grid vectors on a local region; the offline and
 online stages each solve a dense generalized eigenproblem of projected
-local forms and keep the dominant eigenvectors.
+local forms and keep the dominant eigenvectors.  offline_spaces is the
+one offline pipeline: snapshots -> forms -> build_offline per coarse node.
 """
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -15,11 +17,11 @@ import scipy.sparse as sp
 
 from .coeff import CoefficientField
 from .fem import assemble_mass, assemble_stiffness
-from .mesh import FineMesh, Neighborhood
+from .mesh import CoarseMesh, FineMesh, Neighborhood
+from .pou import pou_gradient_weight
 from .solvers import NumericalError, SparseFactor, _gen_eig, dense_gen_eig
 
 A_FORMS = ("pou_stiffness", "pou_grad_mass", "kappa_mass", "kappa_stiffness")
-S_FORMS = ("kappa_stiffness", "kappa_stiffness_ext")
 
 
 @dataclass
@@ -142,34 +144,6 @@ def spectral_snapshots(A_t: sp.spmatrix, S_t: sp.spmatrix, count: int,
     return SnapshotSpace(region=region, columns=vecs[:, :count], kind="local-spectral")
 
 
-@dataclass
-class FormChoice:
-    """Which local bilinear forms define the offline/online eigenproblems."""
-
-    a_form: str = "pou_grad_mass"
-    s_form: str = "kappa_stiffness"
-    weights: np.ndarray = None  # averaging weights t_l over parameter samples
-
-    def __post_init__(self):
-        if self.a_form not in A_FORMS:
-            raise ValueError(f"a_form must be one of {A_FORMS}")
-        if self.s_form not in S_FORMS:
-            raise ValueError(f"s_form must be one of {S_FORMS}")
-        if self.weights is not None:
-            w = np.asarray(self.weights, dtype=float)
-            if np.any(w < 0) or w.sum() <= 0:
-                raise ValueError("weights must be nonnegative with positive sum")
-            self.weights = w
-
-
-def averaged_field(fields: list, weights=None) -> CoefficientField:
-    """kappa_bar = sum_l t_l kappa_l, uniform weights by default."""
-    if weights is None:
-        weights = np.full(len(fields), 1.0 / len(fields))
-    vals = sum(w * f.values for w, f in zip(weights, fields))
-    return CoefficientField(vals)
-
-
 def assemble_a_form(mesh: FineMesh, region: LocalRegion, kappa: CoefficientField,
                     a_form: str, pou=None, grad_weight=None) -> sp.csr_matrix:
     """Local a-form matrix on the region's nodes.
@@ -188,7 +162,6 @@ def assemble_a_form(mesh: FineMesh, region: LocalRegion, kappa: CoefficientField
         raise ValueError(f"a_form {a_form!r} needs a partition of unity")
     if a_form == "pou_grad_mass":
         if grad_weight is None:
-            from .pou import pou_gradient_weight
             grad_weight = pou_gradient_weight(pou, kappa)
         return assemble_mass(mesh, restrict_to=region.nodes, cells=region.cells,
                              triangle_weight=grad_weight)
@@ -308,15 +281,90 @@ def truncate(space: ReducedSpace, count: int) -> ReducedSpace:
                         selection=sel)
 
 
-def h1_orthonormalize(mesh: FineMesh, region: LocalRegion,
-                      columns: np.ndarray, drop_tol: float = 1e-10) -> np.ndarray:
-    """Orthonormalize local columns in the H1 inner product (unit kappa)."""
-    ones = CoefficientField(np.ones(mesh.n_cells))
-    A1 = assemble_stiffness(mesh, ones, restrict_to=region.nodes, cells=region.cells)
-    M1 = assemble_mass(mesh, restrict_to=region.nodes, cells=region.cells)
-    G = columns.T @ ((A1 + M1) @ columns)
-    T, _ = _orthonormal_transform(G, drop_tol)
-    return columns @ T
+# ---------------------------------------------------------------------------
+# the offline pipeline: one pass of snapshots -> forms -> build_offline
+
+def parallel_map(fn, items, workers: int = 1) -> list:
+    """Apply fn to items, preserving order regardless of worker count."""
+    items = list(items)
+    if workers <= 1 or len(items) <= 1:
+        return [fn(x) for x in items]
+    with ThreadPoolExecutor(max_workers=workers) as ex:
+        return list(ex.map(fn, items))
+
+
+def snapshot_space(mesh: FineMesh, region: LocalRegion, kind: str,
+                   kappa: CoefficientField, samples=None,
+                   snap_per_sample: int = None) -> SnapshotSpace:
+    """The snapshot space of one region: kind "fine", "harmonic" or "spectral".
+
+    "spectral" is the union over the coefficient samples of the dominant
+    snap_per_sample eigenvectors of the Neumann pencil (kappa-mass,
+    kappa-stiffness); the other kinds use kappa alone.
+    """
+    if kind == "fine":
+        return fine_grid_snapshots(region)
+    if kind == "harmonic":
+        return harmonic_snapshots(mesh, region, [kappa])
+    if kind == "spectral":
+        cols = [spectral_snapshots(assemble_a_form(mesh, region, f, "kappa_mass"),
+                                   assemble_s_form(mesh, region, f),
+                                   snap_per_sample, region).columns
+                for f in samples]
+        return SnapshotSpace(region=region, columns=np.hstack(cols),
+                             kind="local-spectral")
+    raise ValueError(f"unknown snapshot kind {kind!r}")
+
+
+def local_forms(mesh: FineMesh, kappa: CoefficientField,
+                a_form: str = "pou_grad_mass", pou=None):
+    """region -> (a_mat, s_mat) for one pass over the regions.
+
+    The POU gradient weight of "pou_grad_mass" is a global per-triangle
+    array, so it is computed here once, not once per region.
+    """
+    grad_weight = (pou_gradient_weight(pou, kappa)
+                   if a_form == "pou_grad_mass" and pou is not None else None)
+
+    def forms(region):
+        return (assemble_a_form(mesh, region, kappa, a_form, pou, grad_weight),
+                assemble_s_form(mesh, region, kappa))
+
+    return forms
+
+
+def offline_spaces(coarse: CoarseMesh, kappa: CoefficientField,
+                   snapshots: str = "fine", a_form: str = "pou_grad_mass",
+                   pou=None, count=None, threshold=None, samples=None,
+                   snap_per_sample: int = None,
+                   workers: int = 1) -> dict | list:
+    """Offline space per coarse node: {node: ReducedSpace}.
+
+    Per neighborhood, the snapshot space (snapshot_space) is reduced with
+    the a- and s-forms of kappa (local_forms) by build_offline; the nodes
+    are mapped with parallel_map, so the result does not depend on
+    workers.  Each node's snapshots are dropped once its space is built.
+    count may be a list of counts: each node's snapshots and forms are
+    then built once and reduced once per count, and the result is a list
+    with one {node: ReducedSpace} per entry.
+    """
+    many = isinstance(count, (list, tuple))
+    counts = list(count) if many else [count]
+    mesh = coarse.fine
+    forms = local_forms(mesh, kappa, a_form, pou)
+
+    def one(nb):
+        region = LocalRegion.from_neighborhood(nb)
+        snap = snapshot_space(mesh, region, snapshots, kappa, samples,
+                              snap_per_sample)
+        a_mat, s_mat = forms(region)
+        return [build_offline(snap, a_mat, s_mat, count=c, threshold=threshold)
+                for c in counts]
+
+    per_node = parallel_map(one, coarse.neighborhoods, workers)
+    out = [{i: node[j] for i, node in enumerate(per_node)}
+           for j in range(len(counts))]
+    return out if many else out[0]
 
 
 def count_unbounded(lams_hi: np.ndarray, lams_lo: np.ndarray,

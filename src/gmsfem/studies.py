@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import scipy.sparse as sp
@@ -24,15 +23,14 @@ from .fem import (BoundaryCondition, assemble_load, assemble_mass,
 from .fields import (affine_four_term, anisotropic_pair, centered_inclusion,
                      channels_and_inclusions, channels_and_inclusions_alt)
 from .mesh import build_coarse_mesh, build_fine_mesh, build_overlap
-from .nonlinear import (NonlinearCoefficient, nonlinear_snapshots,
-                        offline_from_snapshots, picard_solve)
-from .pou import bilinear_pou, multiscale_pou, pou_gradient_weight
+from .nonlinear import (NonlinearCoefficient, build_nonlinear_offline,
+                        picard_solve)
+from .pou import bilinear_pou, multiscale_pou
 from .coeff import anisotropic_from_scalar
 from .solvers import SparseFactor, build_two_level, pcg
 from .spaces import (LocalRegion, ReducedSpace, SnapshotSpace, build_offline,
-                     build_online, count_unbounded, fine_grid_snapshots,
-                     harmonic_snapshots, assemble_a_form, assemble_s_form,
-                     spectral_snapshots, truncate)
+                     build_online, count_unbounded, assemble_a_form,
+                     assemble_s_form, offline_spaces, parallel_map, truncate)
 
 BC_LINEAR = BoundaryCondition(lambda x, y: x + y)
 SOURCE = 1.0
@@ -42,15 +40,6 @@ PCG_TOL = 1e-10
 def config_hash(cfg: dict) -> str:
     blob = json.dumps(cfg, sort_keys=True, separators=(",", ":"), default=str)
     return hashlib.sha256(blob.encode()).hexdigest()[:12]
-
-
-def parallel_map(fn, items, workers: int = 1) -> list:
-    """Apply fn to items, preserving order regardless of worker count."""
-    items = list(items)
-    if workers <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as ex:
-        return list(ex.map(fn, items))
 
 
 def write_csv(path, header: list, rows: list) -> None:
@@ -64,29 +53,6 @@ def _fmt(x) -> str:
     if isinstance(x, float):
         return f"{x:.10e}"
     return str(x)
-
-
-def _offline_spaces(coarse, kappa, pou, snapshot_kind: str, count,
-                    a_form: str = "pou_grad_mass", workers: int = 1) -> dict:
-    """Offline space per coarse node."""
-    fine = coarse.fine
-    grad_weight = (pou_gradient_weight(pou, kappa)
-                   if a_form == "pou_grad_mass" else None)
-
-    def one(i):
-        nb = coarse.neighborhoods[int(i)]
-        region = LocalRegion.from_neighborhood(nb)
-        if snapshot_kind == "fine":
-            snap = fine_grid_snapshots(region)
-        elif snapshot_kind == "harmonic":
-            snap = harmonic_snapshots(fine, region, [kappa])
-        else:
-            raise ValueError(f"unknown snapshot kind {snapshot_kind!r}")
-        a_mat = assemble_a_form(fine, region, kappa, a_form, pou, grad_weight)
-        s_mat = assemble_s_form(fine, region, kappa)
-        return int(i), build_offline(snap, a_mat, s_mat, count=count)
-
-    return dict(parallel_map(one, range(coarse.N_v), workers))
 
 
 def _pou_only_spaces(coarse) -> dict:
@@ -107,7 +73,7 @@ def _pou_only_spaces(coarse) -> dict:
 def run_convergence_study(fine_n: int = 100, coarse_n: int = 10,
                           eta: float = 1e6, snapshot_kind: str = "fine",
                           base_count: int = None, extra_max: int = 4,
-                          workers: int = 1, out=None, seed: int = 0) -> list:
+                          workers: int = 1, out=None) -> list:
     """Error ladder: add one local mode per node per step and re-solve.
 
     Step +0 keeps the contrast-unbounded modes per node (detected at two
@@ -127,8 +93,8 @@ def run_convergence_study(fine_n: int = 100, coarse_n: int = 10,
     else:
         counts = {i: base_count for i in range(coarse.N_v)}
     u_ref, A_k, M_k = solve_fine(fine, kappa, SOURCE, BC_LINEAR)
-    top = _offline_spaces(coarse, kappa, pou, snapshot_kind,
-                          max(counts.values()) + extra_max, workers=workers)
+    top = offline_spaces(coarse, kappa, snapshot_kind, pou=pou,
+                         count=max(counts.values()) + extra_max, workers=workers)
     A = assemble_stiffness(fine, kappa)
     b = assemble_load(fine, SOURCE)
     rows = []
@@ -167,22 +133,19 @@ def _two_level_report(fine, coarse, kappa, basis, delta_layers, max_it=600):
 
 
 def detect_mode_counts(coarse, field_at, eta_hi: float, eta_lo: float,
-                       pou_kind: str = "multiscale", workers: int = 1,
-                       a_form: str = "pou_grad_mass") -> dict:
+                       workers: int = 1) -> dict:
     """Per-node count of contrast-unbounded modes from two sample contrasts.
 
     field_at(eta) yields the coefficient at a given contrast; a mode counts
     as unbounded when its eigenvalue grows faster than sqrt(eta_hi/eta_lo).
     """
-    fine = coarse.fine
     growth = float(np.sqrt(eta_hi / eta_lo))
     spectra = {}
     for eta in (eta_hi, eta_lo):
         kappa = field_at(eta)
-        pou = multiscale_pou(coarse, kappa) if pou_kind == "multiscale" \
-            else bilinear_pou(coarse)
-        spaces = _offline_spaces(coarse, kappa, pou, "fine", None,
-                                 a_form=a_form, workers=workers)
+        spaces = offline_spaces(coarse, kappa, "fine",
+                                pou=multiscale_pou(coarse, kappa),
+                                workers=workers)
         spectra[eta] = {i: s.eigenvalues for i, s in spaces.items()}
     counts = {}
     for i in spectra[eta_hi]:
@@ -193,7 +156,7 @@ def detect_mode_counts(coarse, field_at, eta_hi: float, eta_lo: float,
 
 def run_precond_study(fine_n: int = 100, coarse_n: int = 10,
                       etas=(1e3, 1e5, 1e7), delta_layers: int = 2,
-                      workers: int = 1, out=None, seed: int = 0) -> list:
+                      workers: int = 1, out=None) -> list:
     """Iteration counts and condition estimates, POU-only versus spectral.
 
     The per-node spectral mode counts are detected once at moderate
@@ -215,8 +178,9 @@ def run_precond_study(fine_n: int = 100, coarse_n: int = 10,
             if variant == "pou":
                 spaces = _pou_only_spaces(coarse)
             else:
-                full = _offline_spaces(coarse, kappa, pou, "fine",
-                                       max(counts.values()), workers=workers)
+                full = offline_spaces(coarse, kappa, "fine", pou=pou,
+                                      count=max(counts.values()),
+                                      workers=workers)
                 spaces = {i: truncate(s, min(counts[i], s.dim))
                           for i, s in full.items()}
             basis = build_coarse_basis(coarse, pou, spaces)
@@ -246,8 +210,7 @@ PARAM_TEST = (0.5, 0.5, 0.5, 0.5)  # never among the offline samples
 def run_parametric_study(fine_n: int = 100, coarse_n: int = 10,
                          eta: float = 1e4, n_rb_values=(2, 3, 4),
                          snap_per_sample: int = 10, base_count: int = 3,
-                         extra_max: int = 3, workers: int = 1, out=None,
-                         seed: int = 0) -> list:
+                         extra_max: int = 3, workers: int = 1, out=None) -> list:
     """Online error at a test parameter versus the number of offline samples.
 
     Offline snapshots are unions of per-sample local spectral modes; the
@@ -271,27 +234,10 @@ def run_parametric_study(fine_n: int = 100, coarse_n: int = 10,
         fields = k_samples[:n_rb]
         avg = CoefficientField(np.mean([f.values for f in fields], axis=0))
         pou = multiscale_pou(coarse, avg)
-
-        def one(i):
-            nb = coarse.neighborhoods[int(i)]
-            region = LocalRegion.from_neighborhood(nb)
-            cols = []
-            for f in fields:
-                A_t = assemble_mass(fine, weight=f, restrict_to=region.nodes,
-                                    cells=region.cells)
-                S_t = assemble_stiffness(fine, f, restrict_to=region.nodes,
-                                         cells=region.cells)
-                cols.append(spectral_snapshots(A_t, S_t, snap_per_sample,
-                                               region).columns)
-            snap = SnapshotSpace(region=region, columns=np.hstack(cols),
-                                 kind="local-spectral")
-            a_mat = assemble_mass(fine, weight=avg, restrict_to=region.nodes,
-                                  cells=region.cells)
-            s_mat = assemble_stiffness(fine, avg, restrict_to=region.nodes,
-                                       cells=region.cells)
-            return int(i), build_offline(snap, a_mat, s_mat, count=None)
-
-        offline = dict(parallel_map(one, range(coarse.N_v), workers))
+        offline = offline_spaces(coarse, avg, "spectral", "kappa_mass",
+                                 samples=fields,
+                                 snap_per_sample=snap_per_sample,
+                                 workers=workers)
 
         def online_at(i, off, L):
             region = off.region
@@ -322,7 +268,7 @@ def run_parametric_study(fine_n: int = 100, coarse_n: int = 10,
 def run_anisotropic_study(fine_n: int = 100, coarse_n: int = 10,
                           etas=(1e4, 1e6), mu: float = 0.5,
                           delta_layers: int = 3, spectral_extra: int = 2,
-                          workers: int = 1, out=None, seed: int = 0) -> list:
+                          workers: int = 1, out=None) -> list:
     """Preconditioner sweep with a diagonal-tensor coefficient.
 
     k11 interpolates two high-contrast fields with parameter mu; k22 = 1.
@@ -353,9 +299,9 @@ def run_anisotropic_study(fine_n: int = 100, coarse_n: int = 10,
             if variant == "pou":
                 spaces = _pou_only_spaces(coarse)
             else:
-                full = _offline_spaces(coarse, kappa, pou, "fine",
-                                       max(counts.values()) + spectral_extra,
-                                       workers=workers)
+                full = offline_spaces(coarse, kappa, "fine", pou=pou,
+                                      count=max(counts.values()) + spectral_extra,
+                                      workers=workers)
                 spaces = {i: truncate(s, min(counts[i] + spectral_extra, s.dim))
                           for i, s in full.items()}
             basis = build_coarse_basis(coarse, pou, spaces)
@@ -367,8 +313,8 @@ def run_anisotropic_study(fine_n: int = 100, coarse_n: int = 10,
     kappa = field_at(eta0)
     pou = multiscale_pou(coarse, kappa)
     u_ref, A_k, M_k = solve_fine(fine, kappa, SOURCE, BC_LINEAR)
-    top = _offline_spaces(coarse, kappa, pou, "fine",
-                          max(counts.values()) + 2, workers=workers)
+    top = offline_spaces(coarse, kappa, "fine", pou=pou,
+                         count=max(counts.values()) + 2, workers=workers)
     A = assemble_stiffness(fine, kappa)
     b = assemble_load(fine, SOURCE)
     for k in range(3):
@@ -390,7 +336,7 @@ def run_anisotropic_study(fine_n: int = 100, coarse_n: int = 10,
 
 def run_eigendecay_study(fine_n: int = 40, inclusion_value: float = 100.0,
                          source_spacing: float = 0.2, workers: int = 1,
-                         out=None, seed: int = 0) -> list:
+                         out=None) -> list:
     """Decay of the local spectrum over globally harmonic snapshots.
 
     Snapshots are fine solves with unit point loads on a sparse lattice
@@ -509,11 +455,12 @@ def run_nonlinear_study(fine_n: int = 80, coarse_n: int = 8,
                         eta: float = 1e4, alpha: float = 1.0,
                         offline_counts=(3, 5, 8), snap_per_sample: int = 8,
                         n_samples: int = 10, u_range=(0.0, 2.5),
-                        workers: int = 1, out=None, seed: int = 0) -> list:
+                        workers: int = 1, out=None) -> list:
     """Picard convergence and accuracy versus the offline space size.
 
-    The spectral snapshot stage does not depend on the offline count, so
-    it is built once and reduced for each entry of offline_counts.  The
+    The spectral snapshots and forms of each neighborhood do not depend
+    on the offline count, so they are built once and reduced for each
+    entry of offline_counts.  The
     study runs serially: workers is accepted for a uniform study
     signature but not used (spreading the snapshot stage over
     neighborhoods did not pay on two cores with multithreaded BLAS).
@@ -540,11 +487,12 @@ def run_nonlinear_study(fine_n: int = 80, coarse_n: int = 8,
     M_k = assemble_mass(fine, weight=k_ref)
     mid = 0.5 * (u_range[0] + u_range[1])
     pou = multiscale_pou(coarse, nl.at_value(mid))
-    stage = nonlinear_snapshots(coarse, nl, samples, snap_per_sample)
+    offlines = build_nonlinear_offline(coarse, nl, samples, snap_per_sample,
+                                       list(offline_counts))
     rows = []
-    for L in offline_counts:
+    for L, offline in zip(offline_counts, offlines):
         state = picard_solve(coarse, nl, SOURCE, BC_LINEAR, pou, samples,
-                             offline=offline_from_snapshots(stage, L))
+                             offline=offline)
         err = relative_errors(state.u, u_ref, A_k, M_k)
         e, h1, l2 = err.as_percent()
         rows.append([L, state.dims, int(state.converged), state.iterations,

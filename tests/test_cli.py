@@ -97,6 +97,24 @@ def test_offline_requires_count_or_threshold(tmp_path):
     assert main(["--config", cfg, "offline"]) == 2
 
 
+@pytest.mark.parametrize("key,value,command", [
+    ("a_form", "mass", "solve"),
+    ("a_form", "mass", "online"),
+    ("a_form", "boundary_mass", "offline"),
+    ("snapshots", "random", "solve"),
+    ("snapshots", "spectral", "offline"),
+    ("snapshots", "random", "snapshots"),
+    ("count", [3, 4], "solve"),
+])
+def test_bad_pipeline_key_is_config_error(tmp_path, capsys, key, value,
+                                          command):
+    cfg = _cfg(tmp_path, {"fine": 20, "coarse": 4,
+                          "field": {"preset": "channels", "eta": 1e3},
+                          "count": 3, "online_count": 2, key: value})
+    assert main(["--config", cfg, command]) == 2
+    assert key in capsys.readouterr().err
+
+
 def test_solve_writes_solution(tmp_path, capsys):
     cfg = _cfg(tmp_path, {"fine": 20, "coarse": 4,
                           "field": {"preset": "channels", "eta": 1e3},

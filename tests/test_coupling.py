@@ -18,8 +18,7 @@ from gmsfem.fem import (BoundaryCondition, assemble_load, assemble_stiffness,
 from gmsfem.fields import affine_four_term, channels_and_inclusions
 from gmsfem.mesh import build_coarse_mesh, build_fine_mesh
 from gmsfem.pou import multiscale_pou
-from gmsfem.spaces import (LocalRegion, assemble_a_form, assemble_s_form,
-                           build_offline, fine_grid_snapshots)
+from gmsfem.spaces import offline_spaces
 
 BC = BoundaryCondition(lambda x, y: x + y)
 
@@ -33,20 +32,9 @@ def setup():
     return fine, coarse, kappa, pou
 
 
-def _spaces(fine, coarse, kappa, pou, count):
-    out = {}
-    for i in range(coarse.N_v):
-        region = LocalRegion.from_neighborhood(coarse.neighborhoods[i])
-        snap = fine_grid_snapshots(region)
-        a_mat = assemble_a_form(fine, region, kappa, "pou_grad_mass", pou)
-        s_mat = assemble_s_form(fine, region, kappa)
-        out[i] = build_offline(snap, a_mat, s_mat, count=count)
-    return out
-
-
 def test_basis_support_and_boundary_rows(setup):
     fine, coarse, kappa, pou = setup
-    spaces = _spaces(fine, coarse, kappa, pou, 3)
+    spaces = offline_spaces(coarse, kappa, pou=pou, count=3)
     basis = build_coarse_basis(coarse, pou, spaces)
     assert basis.dim == 3 * coarse.N_v
     P = basis.P.toarray()
@@ -65,7 +53,7 @@ def test_empty_basis_raises(setup):
 
 def test_lift_matches_boundary_data(setup):
     fine, coarse, kappa, pou = setup
-    spaces = _spaces(fine, coarse, kappa, pou, 2)
+    spaces = offline_spaces(coarse, kappa, pou=pou, count=2)
     basis = build_coarse_basis(coarse, pou, spaces)
     lift = coarse_dirichlet_lift(basis, BC)
     want = BC.values(fine, fine.boundary_nodes)
@@ -74,7 +62,7 @@ def test_lift_matches_boundary_data(setup):
 
 def test_full_retention_reproduces_fine_solution(setup):
     fine, coarse, kappa, pou = setup
-    spaces = _spaces(fine, coarse, kappa, pou, None)
+    spaces = offline_spaces(coarse, kappa, pou=pou)
     basis = build_coarse_basis(coarse, pou, spaces)
     A = assemble_stiffness(fine, kappa)
     b = assemble_load(fine, 1.0)
@@ -90,7 +78,7 @@ def test_galerkin_energy_optimality(setup):
     # the Galerkin solution minimizes the energy error over the coarse
     # space, so perturbing the dofs can only increase it
     fine, coarse, kappa, pou = setup
-    spaces = _spaces(fine, coarse, kappa, pou, 3)
+    spaces = offline_spaces(coarse, kappa, pou=pou, count=3)
     basis = build_coarse_basis(coarse, pou, spaces)
     A = assemble_stiffness(fine, kappa)
     b = assemble_load(fine, 1.0)
@@ -110,7 +98,7 @@ def test_galerkin_energy_optimality(setup):
 
 def test_petrov_galerkin_with_equal_bases_matches_galerkin(setup):
     fine, coarse, kappa, pou = setup
-    spaces = _spaces(fine, coarse, kappa, pou, 3)
+    spaces = offline_spaces(coarse, kappa, pou=pou, count=3)
     basis = build_coarse_basis(coarse, pou, spaces)
     A = assemble_stiffness(fine, kappa)
     b = assemble_load(fine, 1.0)
@@ -121,8 +109,10 @@ def test_petrov_galerkin_with_equal_bases_matches_galerkin(setup):
 
 def test_petrov_galerkin_dim_mismatch(setup):
     fine, coarse, kappa, pou = setup
-    trial = build_coarse_basis(coarse, pou, _spaces(fine, coarse, kappa, pou, 3))
-    test = build_coarse_basis(coarse, pou, _spaces(fine, coarse, kappa, pou, 2))
+    trial = build_coarse_basis(
+        coarse, pou, offline_spaces(coarse, kappa, pou=pou, count=3))
+    test = build_coarse_basis(
+        coarse, pou, offline_spaces(coarse, kappa, pou=pou, count=2))
     A = assemble_stiffness(fine, kappa)
     b = assemble_load(fine, 1.0)
     with pytest.raises(ValueError):
@@ -131,7 +121,7 @@ def test_petrov_galerkin_dim_mismatch(setup):
 
 def test_solve_multiscale_wrapper(setup):
     fine, coarse, kappa, pou = setup
-    spaces = _spaces(fine, coarse, kappa, pou, 2)
+    spaces = offline_spaces(coarse, kappa, pou=pou, count=2)
     basis = build_coarse_basis(coarse, pou, spaces)
     A = assemble_stiffness(fine, kappa)
     b = assemble_load(fine, 1.0)
@@ -145,7 +135,7 @@ def test_affine_operator_matches_direct_assembly(setup):
     aff = affine_four_term(fine, 1e3)
     kappa0 = evaluate(aff, aff.parameter([0.5] * 4))
     pou = multiscale_pou(coarse, kappa0)
-    spaces = _spaces(fine, coarse, kappa0, pou, 2)
+    spaces = offline_spaces(coarse, kappa0, pou=pou, count=2)
     basis = build_coarse_basis(coarse, pou, spaces)
     op = build_affine_operator(fine, aff, basis)
     mu = aff.parameter([0.9, 0.1, 0.4, 0.7])

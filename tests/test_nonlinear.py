@@ -13,8 +13,7 @@ from gmsfem.fields import channels_and_inclusions, channels_and_inclusions_alt
 from gmsfem.mesh import build_coarse_mesh, build_fine_mesh
 from gmsfem.nonlinear import (NonlinearCoefficient, block_averages,
                               build_nonlinear_offline, cellwise_parameter,
-                              node_averages, nonlinear_snapshots,
-                              offline_from_snapshots, picard_solve)
+                              node_averages, picard_solve)
 from gmsfem.pou import multiscale_pou
 from gmsfem.studies import fine_picard_reference
 
@@ -109,10 +108,10 @@ def test_shared_snapshot_stage_matches_offline_built_inside(setup):
     fine, coarse, nl = setup
     samples = np.linspace(0.0, 2.5, 4)
     pou = multiscale_pou(coarse, nl.at_value(1.25))
-    stage = nonlinear_snapshots(coarse, nl, samples, 4)
-    for count in (3, 5):
+    offlines = build_nonlinear_offline(coarse, nl, samples, 4, [3, 5])
+    for count, offline in zip((3, 5), offlines):
         fast = picard_solve(coarse, nl, 1.0, BC, pou, samples,
-                            offline=offline_from_snapshots(stage, count))
+                            offline=offline)
         slow = picard_solve(coarse, nl, 1.0, BC, pou, samples,
                             snap_per_sample=4, offline_count=count)
         assert fast.dims == slow.dims

@@ -10,11 +10,11 @@ from gmsfem.fields import channels_and_inclusions
 from gmsfem.mesh import build_coarse_mesh, build_fine_mesh
 from gmsfem.pou import multiscale_pou, pou_gradient_weight
 from gmsfem.solvers import dense_gen_eig
-from gmsfem.spaces import (FormChoice, LocalRegion, SnapshotSpace,
-                           assemble_a_form, assemble_s_form, averaged_field,
-                           build_offline, build_online, count_unbounded,
-                           fine_grid_snapshots, h1_orthonormalize,
-                           harmonic_snapshots, spectral_snapshots, truncate)
+from gmsfem.spaces import (LocalRegion, SnapshotSpace, assemble_a_form,
+                           assemble_s_form, build_offline, build_online,
+                           count_unbounded, fine_grid_snapshots,
+                           harmonic_snapshots, offline_spaces,
+                           spectral_snapshots, truncate)
 
 
 @pytest.fixture(scope="module")
@@ -78,23 +78,6 @@ def test_spectral_snapshots_count(setup):
     _, vecs = dense_gen_eig(np.asarray(A_t.todense()),
                             np.asarray(S_t.todense()))
     assert np.array_equal(snap.columns, vecs[:, :6])
-
-
-def test_form_choice_validation():
-    FormChoice()
-    with pytest.raises(ValueError):
-        FormChoice(a_form="mass")
-    with pytest.raises(ValueError):
-        FormChoice(s_form="load")
-    with pytest.raises(ValueError):
-        FormChoice(weights=[-1.0, 2.0])
-
-
-def test_averaged_field():
-    f1 = CoefficientField(np.full(4, 2.0))
-    f2 = CoefficientField(np.full(4, 6.0))
-    assert np.allclose(averaged_field([f1, f2]).values, 4.0)
-    assert np.allclose(averaged_field([f1, f2], [0.75, 0.25]).values, 3.0)
 
 
 def test_a_form_requires_pou(setup):
@@ -185,17 +168,62 @@ def test_lambda_star_full_retention(setup):
     assert off.lambda_star() == 0.0
 
 
-def test_h1_orthonormalize(setup):
-    fine, _, _, _, region = setup
-    rng = np.random.default_rng(2)
-    cols = rng.standard_normal((region.n_nodes, 5))
-    Q = h1_orthonormalize(fine, region, cols)
-    ones = CoefficientField(np.ones(fine.n_cells))
-    A1 = assemble_stiffness(fine, ones, restrict_to=region.nodes,
-                            cells=region.cells)
-    M1 = assemble_mass(fine, restrict_to=region.nodes, cells=region.cells)
-    G = Q.T @ ((A1 + M1) @ Q)
-    assert np.abs(G - np.eye(Q.shape[1])).max() < 1e-8
+def _hand_written_offline(fine, coarse, kappa, pou, snapshots, sel):
+    spaces = {}
+    for i, nb in enumerate(coarse.neighborhoods):
+        region = LocalRegion.from_neighborhood(nb)
+        snap = (fine_grid_snapshots(region) if snapshots == "fine"
+                else harmonic_snapshots(fine, region, [kappa]))
+        spaces[i] = build_offline(
+            snap, assemble_a_form(fine, region, kappa, "pou_grad_mass", pou),
+            assemble_s_form(fine, region, kappa), **sel)
+    return spaces
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("snapshots,sel", [
+    ("fine", {"count": 3}), ("fine", {"threshold": 0.2}),
+    ("harmonic", {"count": 3}), ("harmonic", {"threshold": 0.2})])
+def test_offline_spaces_match_the_hand_written_loop(setup, snapshots, sel,
+                                                    workers):
+    fine, coarse, kappa, pou, _ = setup
+    want = _hand_written_offline(fine, coarse, kappa, pou, snapshots, sel)
+    got = offline_spaces(coarse, kappa, snapshots, pou=pou, workers=workers,
+                         **sel)
+    assert list(got) == list(want)
+    for i, space in got.items():
+        assert np.array_equal(space.columns, want[i].columns)
+        assert np.array_equal(space.eigenvalues, want[i].eigenvalues)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_offline_spaces_spectral_union_matches_the_hand_written_loop(
+        setup, workers):
+    fine, coarse, kappa, _, _ = setup
+    samples = [kappa, CoefficientField(np.sqrt(kappa.values))]
+    avg = CoefficientField(np.mean([f.values for f in samples], axis=0))
+    counts = [2, 4]
+    got = offline_spaces(coarse, avg, "spectral", "kappa_mass", count=counts,
+                         samples=samples, snap_per_sample=3, workers=workers)
+    assert len(got) == len(counts)
+    for i, nb in enumerate(coarse.neighborhoods):
+        region = LocalRegion.from_neighborhood(nb)
+        cols = [spectral_snapshots(
+                    assemble_mass(fine, weight=f, restrict_to=region.nodes,
+                                  cells=region.cells),
+                    assemble_stiffness(fine, f, restrict_to=region.nodes,
+                                       cells=region.cells), 3, region).columns
+                for f in samples]
+        snap = SnapshotSpace(region=region, columns=np.hstack(cols),
+                             kind="local-spectral")
+        a_mat = assemble_mass(fine, weight=avg, restrict_to=region.nodes,
+                              cells=region.cells)
+        s_mat = assemble_stiffness(fine, avg, restrict_to=region.nodes,
+                                   cells=region.cells)
+        for spaces, count in zip(got, counts):
+            want = build_offline(snap, a_mat, s_mat, count=count)
+            assert np.array_equal(spaces[i].columns, want.columns)
+            assert np.array_equal(spaces[i].eigenvalues, want.eigenvalues)
 
 
 def test_count_unbounded_handcrafted():
