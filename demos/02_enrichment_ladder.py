@@ -10,7 +10,7 @@ from gmsfem.studies import run_convergence_study
 rows = run_convergence_study(fine_n=40, coarse_n=4, eta=1e4, extra_max=3)
 
 print(f"{'step':>5} {'dim':>5} {'lambda*':>12} {'energy %':>10} {'L2 %':>10}")
-for variant, step, dim, lam, e, h1, l2, cfg in rows:
+for variant, step, dim, lam, e, l2, cfg in rows:
     print(f"{step:>5} {dim:>5} {float(lam):>12.3e} {float(e):>10.4f} "
           f"{float(l2):>10.6f}")
 print("\nthe error tracks lambda*: once the contrast-unbounded modes are")

@@ -16,9 +16,9 @@ from .spaces import (LocalRegion, SnapshotSpace, ReducedSpace,
                      spectral_snapshots, build_offline, build_online,
                      offline_spaces, truncate, count_unbounded)
 from .coupling import (CoarseBasis, CoarseSolution, build_coarse_basis,
-                       solve_coarse_galerkin, solve_coarse_pg, solve_fine,
-                       solve_multiscale, build_affine_operator)
-from .solvers import (NumericalError, dense_gen_eig, SparseFactor, pcg, cg,
+                       solve_coarse_galerkin, solve_fine, solve_multiscale,
+                       build_affine_operator)
+from .solvers import (NumericalError, dense_gen_eig, SparseFactor, pcg,
                       TwoLevelPreconditioner, build_two_level, PcgReport)
 from .nonlinear import NonlinearCoefficient, PicardState, picard_solve
 

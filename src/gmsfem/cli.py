@@ -7,13 +7,14 @@ numerical failures (factorization breakdown, non-convergence).
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 
 import numpy as np
 
 from . import fields as field_presets
-from .coeff import CoefficientField, read_field, write_field
+from .coeff import read_field, write_field
 from .coupling import build_coarse_basis, solve_coarse_galerkin, solve_fine
 from .fem import (BoundaryCondition, assemble_load, assemble_stiffness,
                   relative_errors)
@@ -21,7 +22,7 @@ from .mesh import build_coarse_mesh, build_fine_mesh
 from .pou import bilinear_pou, energy_min_pou, multiscale_pou
 from .solvers import NumericalError
 from .spaces import (A_FORMS, LocalRegion, build_online, local_forms,
-                     offline_spaces, snapshot_space)
+                     offline_spaces, parallel_map, snapshot_space)
 from .studies import (run_anisotropic_study, run_convergence_study,
                       run_eigendecay_study, run_nonlinear_study,
                       run_parametric_study, run_precond_study)
@@ -31,7 +32,8 @@ class ConfigError(ValueError):
     pass
 
 
-def _load_config(path) -> dict:
+def _load_config(path, known) -> dict:
+    """The JSON object at path; a key not in known is an error."""
     if path is None:
         raise ConfigError("--config is required for this command")
     try:
@@ -43,7 +45,26 @@ def _load_config(path) -> dict:
         raise ConfigError(f"config is not valid JSON: {exc}") from None
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")
+    bad = set(cfg) - set(known)
+    if bad:
+        raise ConfigError(f"unknown config keys: {sorted(bad)}")
     return cfg
+
+
+# the keys of the pipeline commands' configs
+PIPELINE_KEYS = {"fine", "coarse", "field", "bc", "pou", "snapshots", "count",
+                 "threshold", "a_form", "online_count", "source"}
+
+
+def _number(v, key: str, integer: bool = False, low=None):
+    """v if it is a finite number (an int if integer) not below low."""
+    kind = int if integer else (int, float)
+    if (isinstance(v, bool) or not isinstance(v, kind)
+            or not abs(v) < float("inf") or (low is not None and v < low)):
+        want = "an integer" if integer else "a finite number"
+        bound = "" if low is None else f" >= {low}"
+        raise ConfigError(f"{key} must be {want}{bound}, not {v!r}")
+    return v
 
 
 def _require(cfg: dict, key, kind=None):
@@ -64,8 +85,14 @@ PRESETS = {
 
 def _field_from_config(cfg: dict, fine):
     fc = _require(cfg, "field", dict)
+    bad = set(fc) - {"file", "preset", "eta"}
+    if bad:
+        raise ConfigError(f"unknown field keys: {sorted(bad)}")
     if "file" in fc:
-        nx, ny, field = read_field(fc["file"])
+        try:
+            nx, ny, field = read_field(fc["file"])
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"cannot read field file: {exc}") from None
         if (nx, ny) != (fine.nx, fine.ny):
             raise ConfigError(
                 f"field file is {nx}x{ny}, config grid is {fine.nx}x{fine.ny}")
@@ -73,7 +100,8 @@ def _field_from_config(cfg: dict, fine):
     preset = fc.get("preset")
     if preset not in PRESETS:
         raise ConfigError(f"field needs 'file' or a preset from {sorted(PRESETS)}")
-    return PRESETS[preset](fine, float(fc.get("eta", 1e4)))
+    eta = _number(fc.get("eta", 1e4), "field eta", low=1)
+    return PRESETS[preset](fine, float(eta))
 
 
 def _bc_from_config(cfg: dict) -> BoundaryCondition:
@@ -81,7 +109,7 @@ def _bc_from_config(cfg: dict) -> BoundaryCondition:
     if bc == "linear":
         return BoundaryCondition(lambda x, y: x + y)
     if isinstance(bc, (int, float)):
-        return BoundaryCondition(float(bc))
+        return BoundaryCondition(float(_number(bc, "bc")))
     raise ConfigError("bc must be 'linear' or a constant")
 
 
@@ -96,10 +124,14 @@ def _pou_from_config(cfg: dict, coarse, kappa):
     raise ConfigError(f"unknown pou kind {kind!r}")
 
 
+def _fine_mesh(cfg: dict):
+    fine_n = _number(_require(cfg, "fine"), "fine", integer=True, low=1)
+    return build_fine_mesh(fine_n, fine_n)
+
+
 def _meshes(cfg: dict):
-    fine_n = int(_require(cfg, "fine", int))
-    coarse_n = int(_require(cfg, "coarse", int))
-    fine = build_fine_mesh(fine_n, fine_n)
+    fine = _fine_mesh(cfg)
+    coarse_n = _number(_require(cfg, "coarse"), "coarse", integer=True, low=1)
     try:
         coarse = build_coarse_mesh(fine, coarse_n, coarse_n)
     except ValueError as exc:
@@ -127,14 +159,16 @@ def _offline_options(cfg: dict) -> dict:
     threshold = cfg.get("threshold")
     if count is None and threshold is None:
         raise ConfigError("config needs 'count' or 'threshold'")
-    if count is not None and not isinstance(count, int):
-        raise ConfigError(f"count must be an integer, not {count!r}")
+    if count is not None:
+        _number(count, "count", integer=True, low=1)
+    if threshold is not None:
+        _number(threshold, "threshold", low=0)
     return dict(snapshots=_snapshot_kind(cfg), a_form=a_form, count=count,
                 threshold=threshold)
 
 
 def cmd_mesh_info(args) -> int:
-    cfg = _load_config(args.config)
+    cfg = _load_config(args.config, PIPELINE_KEYS)
     fine, coarse = _meshes(cfg)
     print(f"fine grid: {fine.nx}x{fine.ny}, {fine.n_nodes} nodes, "
           f"{2 * fine.n_cells} triangles")
@@ -145,9 +179,8 @@ def cmd_mesh_info(args) -> int:
 
 
 def cmd_gen_field(args) -> int:
-    cfg = _load_config(args.config)
-    fine_n = int(_require(cfg, "fine", int))
-    fine = build_fine_mesh(fine_n, fine_n)
+    cfg = _load_config(args.config, PIPELINE_KEYS)
+    fine = _fine_mesh(cfg)
     field = _field_from_config(cfg, fine)
     if args.out is None:
         raise ConfigError("--out is required for gen-field")
@@ -157,25 +190,27 @@ def cmd_gen_field(args) -> int:
 
 
 def cmd_snapshots(args) -> int:
-    cfg = _load_config(args.config)
+    cfg = _load_config(args.config, PIPELINE_KEYS)
     kind = _snapshot_kind(cfg)
     fine, coarse = _meshes(cfg)
     kappa = _field_from_config(cfg, fine)
-    sizes = [snapshot_space(fine, LocalRegion.from_neighborhood(nb), kind,
-                            kappa).M_snap
-             for nb in coarse.neighborhoods]
+    sizes = parallel_map(
+        lambda nb: snapshot_space(fine, LocalRegion.from_neighborhood(nb),
+                                  kind, kappa).M_snap,
+        coarse.neighborhoods, args.workers)
     print(f"{kind} snapshots on {len(sizes)} neighborhoods: "
           f"min {min(sizes)}, max {max(sizes)} columns")
     return 0
 
 
 def cmd_offline(args) -> int:
-    cfg = _load_config(args.config)
+    cfg = _load_config(args.config, PIPELINE_KEYS)
     opts = _offline_options(cfg)
     fine, coarse = _meshes(cfg)
     kappa = _field_from_config(cfg, fine)
     pou = _pou_from_config(cfg, coarse, kappa)
-    spaces = offline_spaces(coarse, kappa, pou=pou, **opts)
+    spaces = offline_spaces(coarse, kappa, pou=pou, workers=args.workers,
+                            **opts)
     dims = [s.dim for s in spaces.values()]
     total = sum(dims)
     print(f"offline spaces: {len(spaces)} neighborhoods, total dim {total}, "
@@ -193,41 +228,42 @@ def cmd_offline(args) -> int:
 
 
 def cmd_online(args) -> int:
-    cfg = _load_config(args.config)
+    cfg = _load_config(args.config, PIPELINE_KEYS)
     opts = _offline_options(cfg)
-    on_count = cfg.get("online_count")
-    if on_count is None:
-        raise ConfigError("config needs 'online_count'")
+    on_count = _number(_require(cfg, "online_count"), "online_count",
+                       integer=True, low=1)
     fine, coarse = _meshes(cfg)
     kappa = _field_from_config(cfg, fine)
     pou = _pou_from_config(cfg, coarse, kappa)
-    offline = offline_spaces(coarse, kappa, pou=pou, **opts)
+    offline = offline_spaces(coarse, kappa, pou=pou, workers=args.workers,
+                             **opts)
     forms = local_forms(fine, kappa, opts["a_form"], pou)
-    dims = [build_online(off, *forms(off.region),
-                         count=min(int(on_count), off.dim)).dim
-            for off in offline.values()]
+    dims = parallel_map(
+        lambda off: build_online(off, *forms(off.region),
+                                 count=min(on_count, off.dim)).dim,
+        offline.values(), args.workers)
     print(f"online spaces: {len(dims)} neighborhoods, total dim {sum(dims)}")
     return 0
 
 
 def cmd_solve(args) -> int:
-    cfg = _load_config(args.config)
+    cfg = _load_config(args.config, PIPELINE_KEYS)
     opts = _offline_options(cfg)
     fine, coarse = _meshes(cfg)
     kappa = _field_from_config(cfg, fine)
     pou = _pou_from_config(cfg, coarse, kappa)
     bc = _bc_from_config(cfg)
-    f = float(cfg.get("source", 1.0))
-    spaces = offline_spaces(coarse, kappa, pou=pou, **opts)
+    f = float(_number(cfg.get("source", 1.0), "source"))
+    spaces = offline_spaces(coarse, kappa, pou=pou, workers=args.workers,
+                            **opts)
     basis = build_coarse_basis(coarse, pou, spaces)
     A = assemble_stiffness(fine, kappa)
     b = assemble_load(fine, f)
     sol = solve_coarse_galerkin(fine, A, b, bc, basis)
     u_ref, A_k, M_k = solve_fine(fine, kappa, f, bc)
     err = relative_errors(sol.u, u_ref, A_k, M_k)
-    e, h1, l2 = err.as_percent()
-    print(f"coarse dim {basis.dim}, energy {e:.4f}%, h1 {h1:.4f}%, "
-          f"weighted-l2 {l2:.6f}%")
+    e, l2 = err.as_percent()
+    print(f"coarse dim {basis.dim}, energy {e:.4f}%, weighted-l2 {l2:.6f}%")
     if args.out:
         np.savetxt(args.out, sol.u, fmt="%.17g")
         print(f"wrote {args.out}")
@@ -248,13 +284,7 @@ def cmd_study(args) -> int:
     runner = _STUDIES[args.command]
     kwargs = {}
     if args.config is not None:
-        cfg = _load_config(args.config)
-        import inspect
-        valid = set(inspect.signature(runner).parameters)
-        bad = set(cfg) - valid
-        if bad:
-            raise ConfigError(f"unknown config keys for {args.command}: {sorted(bad)}")
-        kwargs.update(cfg)
+        kwargs = _load_config(args.config, inspect.signature(runner).parameters)
     kwargs["workers"] = args.workers
     if args.out:
         kwargs["out"] = args.out

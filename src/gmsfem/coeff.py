@@ -7,7 +7,6 @@ P1 element integral downstream exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -43,9 +42,6 @@ class CoefficientField:
 
     def k22(self) -> np.ndarray:
         return self.values[:, 1] if self.is_tensor else self.values
-
-    def scaled(self, c: float) -> "CoefficientField":
-        return CoefficientField(self.values * c)
 
 
 @dataclass
@@ -101,18 +97,11 @@ class AffineCoefficient:
     def Q(self) -> int:
         return len(self.terms)
 
-    @property
-    def p(self) -> int:
-        return self.box.shape[0]
-
     def parameter(self, mu) -> ParameterPoint:
         return ParameterPoint(mu=np.asarray(mu, dtype=float), box=self.box)
 
     def thetas(self, mu: ParameterPoint) -> np.ndarray:
         return np.array([_theta_value(d, mu.mu) for d, _ in self.terms])
-
-    def component_fields(self) -> list:
-        return [f for _, f in self.terms]
 
 
 def evaluate(aff: AffineCoefficient, mu: ParameterPoint) -> CoefficientField:

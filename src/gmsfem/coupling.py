@@ -1,9 +1,7 @@
 """Coarse coupling of the local reduced spaces.
 
 Conforming coupling multiplies each local basis function by its partition
-of unity function and assembles a global Galerkin (or Petrov-Galerkin)
-system; a discontinuous variant couples per-block bases through interior
-penalty terms on coarse edges.
+of unity function and assembles a global Galerkin system.
 """
 
 from __future__ import annotations
@@ -15,9 +13,9 @@ import numpy as np
 import scipy.linalg as la
 import scipy.sparse as sp
 
-from .coeff import AffineCoefficient, CoefficientField, ParameterPoint, evaluate
-from .fem import (BoundaryCondition, _triangle_geometry, assemble_load,
-                  assemble_mass, assemble_stiffness, free_nodes, reduce_dirichlet)
+from .coeff import AffineCoefficient, CoefficientField, ParameterPoint
+from .fem import (BoundaryCondition, assemble_load, assemble_mass,
+                  assemble_stiffness, free_nodes, reduce_dirichlet)
 from .mesh import CoarseMesh, FineMesh
 from .solvers import NumericalError
 
@@ -162,36 +160,6 @@ def _solve_compressed(P: np.ndarray, A_ff, b_f: np.ndarray, dim: int,
     return uc
 
 
-def solve_coarse_pg(mesh: FineMesh, A: sp.csr_matrix, b: np.ndarray,
-                    bc: BoundaryCondition, trial: CoarseBasis,
-                    test: CoarseBasis) -> CoarseSolution:
-    """Petrov-Galerkin projection: trial and test bases may differ.
-
-    The coarse system W' A V is square, so both bases must have equal
-    dimension; it is solved by LU, not Cholesky.
-    """
-    if trial.dim != test.dim:
-        raise ValueError(
-            f"trial dim {trial.dim} != test dim {test.dim}; "
-            "Petrov-Galerkin needs a square coarse system"
-        )
-    fr = free_nodes(mesh)
-    lift = coarse_dirichlet_lift(trial, bc)
-    A_ff = A[fr][:, fr].tocsr()
-    b_f = (b - A @ lift)[fr]
-    V = trial.P[fr]
-    W = test.P[fr]
-    Ac = np.asarray((W.T @ (A_ff @ V)).todense())
-    rhs = W.T @ b_f
-    try:
-        uc = la.solve(Ac, rhs)
-    except la.LinAlgError as exc:
-        raise NumericalError(f"coarse Petrov-Galerkin system singular: {exc}") from None
-    u = lift.copy()
-    u[fr] += V @ uc
-    return CoarseSolution(u=u, coefficients=uc, basis=trial)
-
-
 @dataclass
 class AffineOperator:
     """Precomputed coarse blocks P' A_q P for fast mu sweeps."""
@@ -200,29 +168,21 @@ class AffineOperator:
     basis: CoarseBasis
     free: np.ndarray
     blocks: list        # dense (dim, dim) per affine term
-    fine_blocks: list   # sparse A_q on free nodes, for rhs lifts
 
     def coarse_matrix(self, mu: ParameterPoint) -> np.ndarray:
         th = self.aff.thetas(mu)
         return sum(t * B for t, B in zip(th, self.blocks))
-
-    def fine_matrix(self, mu: ParameterPoint) -> sp.csr_matrix:
-        th = self.aff.thetas(mu)
-        return sum(t * B for t, B in zip(th, self.fine_blocks)).tocsr()
 
 
 def build_affine_operator(mesh: FineMesh, aff: AffineCoefficient,
                           basis: CoarseBasis) -> AffineOperator:
     fr = free_nodes(mesh)
     P_ff = basis.P[fr]
-    blocks, fine_blocks = [], []
+    blocks = []
     for _, f in aff.terms:
-        A_q = assemble_stiffness(mesh, f)
-        A_ff = A_q[fr][:, fr].tocsr()
+        A_ff = assemble_stiffness(mesh, f)[fr][:, fr].tocsr()
         blocks.append(np.asarray((P_ff.T @ (A_ff @ P_ff)).todense()))
-        fine_blocks.append(A_ff)
-    return AffineOperator(aff=aff, basis=basis, free=fr,
-                          blocks=blocks, fine_blocks=fine_blocks)
+    return AffineOperator(aff=aff, basis=basis, free=fr, blocks=blocks)
 
 
 def solve_fine(mesh: FineMesh, kappa: CoefficientField, f, bc: BoundaryCondition):
@@ -243,213 +203,3 @@ def solve_multiscale(mesh: FineMesh, kappa: CoefficientField, f,
     A = assemble_stiffness(mesh, kappa)
     b = assemble_load(mesh, f)
     return solve_coarse_galerkin(mesh, A, b, bc, basis)
-
-
-# ---------------------------------------------------------------------------
-# discontinuous coupling on coarse edges (experimental)
-
-@dataclass
-class DGBlockBasis:
-    """Per-coarse-block local bases for the discontinuous coupling."""
-
-    coarse: CoarseMesh
-    block_nodes: list    # fine nodes of each block
-    columns: list        # (n_block_nodes, L_K) per block
-    offsets: np.ndarray  # column offsets into the global dof vector
-
-    @property
-    def dim(self) -> int:
-        return int(self.offsets[-1])
-
-
-def build_dg_basis(coarse: CoarseMesh, columns_per_block: list) -> DGBlockBasis:
-    fine = coarse.fine
-    nodes, offs = [], [0]
-    for K in range(coarse.n_blocks):
-        bn = fine.nodes_in_cell_box(*coarse.block_node_box(K))
-        if columns_per_block[K].shape[0] != len(bn):
-            raise ValueError(f"block {K}: column rows do not match block nodes")
-        nodes.append(bn)
-        offs.append(offs[-1] + columns_per_block[K].shape[1])
-    return DGBlockBasis(coarse=coarse, block_nodes=nodes,
-                        columns=columns_per_block,
-                        offsets=np.asarray(offs, dtype=np.int64))
-
-
-def _interior_coarse_edges(coarse: CoarseMesh):
-    """Yield (K, K_prime, orientation, edge fine-node ids) for shared edges."""
-    fine = coarse.fine
-    for bj in range(coarse.Ny):
-        for bi in range(coarse.Nx):
-            K = bj * coarse.Nx + bi
-            if bi + 1 < coarse.Nx:
-                Kp = K + 1
-                ix = (bi + 1) * coarse.mx
-                nodes = np.array([fine.node_id(ix, j)
-                                  for j in range(bj * coarse.my, (bj + 1) * coarse.my + 1)])
-                yield K, Kp, "v", nodes
-            if bj + 1 < coarse.Ny:
-                Kp = K + coarse.Nx
-                iy = (bj + 1) * coarse.my
-                nodes = np.array([fine.node_id(i, iy)
-                                  for i in range(bi * coarse.mx, (bi + 1) * coarse.mx + 1)])
-                yield K, Kp, "h", nodes
-
-
-def _edge_trace(block_nodes, columns, edge_nodes) -> np.ndarray:
-    lut = {n: k for k, n in enumerate(block_nodes)}
-    rows = np.array([lut[n] for n in edge_nodes])
-    return columns[rows]
-
-
-def _edge_normal_flux(fine: FineMesh, kappa, block_nodes, columns, edge_nodes,
-                      orientation: str, side: str) -> np.ndarray:
-    """kappa * normal derivative per edge segment, from one block's side.
-
-    The normal points from the first block (left/bottom) to the second; P1
-    gradients are constant on the fine cell next to each segment, and on
-    the structured grid the normal derivative on a segment reduces to a
-    difference quotient across the adjacent cell layer.
-    """
-    lut = {n: k for k, n in enumerate(block_nodes)}
-    n_seg = len(edge_nodes) - 1
-    out = np.zeros((n_seg, columns.shape[1]))
-    if orientation == "v":
-        h = 1.0 / fine.nx
-        step = 1  # node id offset for +x
-        ix = edge_nodes[0] % (fine.nx + 1)
-        for s in range(n_seg):
-            a, bnode = edge_nodes[s], edge_nodes[s + 1]
-            if side == "first":
-                inner_a, inner_b = a - step, bnode - step
-                cells = fine.cell_id(ix - 1, a // (fine.nx + 1))
-            else:
-                inner_a, inner_b = a + step, bnode + step
-                cells = fine.cell_id(ix, a // (fine.nx + 1))
-            k = kappa.k11()[cells]
-            tr_a, tr_b = columns[lut[a]], columns[lut[bnode]]
-            in_a, in_b = columns[lut[inner_a]], columns[lut[inner_b]]
-            if side == "first":
-                dn = (0.5 * (tr_a + tr_b) - 0.5 * (in_a + in_b)) / h
-            else:
-                dn = (0.5 * (in_a + in_b) - 0.5 * (tr_a + tr_b)) / h
-            out[s] = k * dn
-    else:
-        h = 1.0 / fine.ny
-        step = fine.nx + 1
-        iy = edge_nodes[0] // (fine.nx + 1)
-        for s in range(n_seg):
-            a, bnode = edge_nodes[s], edge_nodes[s + 1]
-            ixa = a % (fine.nx + 1)
-            if side == "first":
-                inner_a, inner_b = a - step, bnode - step
-                cells = fine.cell_id(ixa, iy - 1)
-            else:
-                inner_a, inner_b = a + step, bnode + step
-                cells = fine.cell_id(ixa, iy)
-            k = kappa.k22()[cells]
-            tr_a, tr_b = columns[lut[a]], columns[lut[bnode]]
-            in_a, in_b = columns[lut[inner_a]], columns[lut[inner_b]]
-            if side == "first":
-                dn = (0.5 * (tr_a + tr_b) - 0.5 * (in_a + in_b)) / h
-            else:
-                dn = (0.5 * (in_a + in_b) - 0.5 * (tr_a + tr_b)) / h
-            out[s] = k * dn
-    return out
-
-
-def _segment_mass(n_seg: int, h: float) -> sp.csr_matrix:
-    """1D P1 mass matrix on a chain of n_seg segments of length h."""
-    n = n_seg + 1
-    main = np.full(n, 2.0 * h / 3.0)
-    main[0] = main[-1] = h / 3.0
-    off = np.full(n - 1, h / 6.0)
-    return sp.diags([off, main, off], [-1, 0, 1]).tocsr()
-
-
-def _segment_average(n_seg: int, h: float) -> sp.csr_matrix:
-    """Maps per-segment constants q to nodal loads int_E q v."""
-    rows, cols, data = [], [], []
-    for s in range(n_seg):
-        rows += [s, s + 1]
-        cols += [s, s]
-        data += [0.5 * h, 0.5 * h]
-    return sp.coo_matrix((data, (rows, cols)), shape=(n_seg + 1, n_seg)).tocsr()
-
-
-def assemble_dg(basis: DGBlockBasis, kappa: CoefficientField,
-                penalty: float = 4.0) -> np.ndarray:
-    """Interior-penalty coarse matrix over the per-block bases.
-
-    Per block: the kappa-stiffness; per interior coarse edge: symmetric
-    average-flux terms and a penalty scaled by the harmonic mean of kappa
-    across the edge and the coarse edge length.
-    """
-    coarse = basis.coarse
-    fine = coarse.fine
-    n = basis.dim
-    Adg = np.zeros((n, n))
-    for K in range(coarse.n_blocks):
-        bn = basis.block_nodes[K]
-        cells = fine.cells_in_box(*coarse.block_node_box(K))
-        A_K = assemble_stiffness(fine, kappa, restrict_to=bn, cells=cells)
-        sl = slice(basis.offsets[K], basis.offsets[K + 1])
-        C = basis.columns[K]
-        Adg[sl, sl] += C.T @ (A_K @ C)
-    for K, Kp, orient, enodes in _interior_coarse_edges(coarse):
-        n_seg = len(enodes) - 1
-        h = 1.0 / (fine.nx if orient == "v" else fine.ny)
-        l_E = n_seg * h
-        Me = _segment_mass(n_seg, h)
-        Qe = _segment_average(n_seg, h)
-        slK = slice(basis.offsets[K], basis.offsets[K + 1])
-        slP = slice(basis.offsets[Kp], basis.offsets[Kp + 1])
-        trK = _edge_trace(basis.block_nodes[K], basis.columns[K], enodes)
-        trP = _edge_trace(basis.block_nodes[Kp], basis.columns[Kp], enodes)
-        flK = _edge_normal_flux(fine, kappa, basis.block_nodes[K],
-                                basis.columns[K], enodes, orient, "first")
-        flP = _edge_normal_flux(fine, kappa, basis.block_nodes[Kp],
-                                basis.columns[Kp], enodes, orient, "second")
-        # edge-averaged conductivities on each side, harmonic mean across
-        kk = kappa.k11() if orient == "v" else kappa.k22()
-        kK = float(np.mean([kk[c] for c in _edge_cells(fine, coarse, enodes, orient, "first")]))
-        kP = float(np.mean([kk[c] for c in _edge_cells(fine, coarse, enodes, orient, "second")]))
-        k_tilde = 2.0 * kK * kP / (kK + kP)
-        jump = np.zeros((len(enodes), n))
-        jump[:, slK] = trK
-        jump[:, slP] = -trP
-        flux_full = np.zeros((n_seg, n))
-        flux_full[:, slK] = flK
-        flux_full[:, slP] = flP
-        avg = 0.5 * flux_full
-        R = jump.T @ (Qe @ avg)
-        Adg -= R + R.T
-        Adg += (penalty * k_tilde / l_E) * (jump.T @ (Me @ jump))
-    return 0.5 * (Adg + Adg.T)
-
-
-def _edge_cells(fine: FineMesh, coarse: CoarseMesh, enodes, orient, side):
-    if orient == "v":
-        ix = enodes[0] % (fine.nx + 1)
-        col = ix - 1 if side == "first" else ix
-        return [fine.cell_id(col, n // (fine.nx + 1)) for n in enodes[:-1]]
-    iy = enodes[0] // (fine.nx + 1)
-    row = iy - 1 if side == "first" else iy
-    return [fine.cell_id(n % (fine.nx + 1), row) for n in enodes[:-1]]
-
-
-def dg_rhs(basis: DGBlockBasis, b: np.ndarray) -> np.ndarray:
-    out = np.zeros(basis.dim)
-    for K in range(basis.coarse.n_blocks):
-        sl = slice(basis.offsets[K], basis.offsets[K + 1])
-        out[sl] = basis.columns[K].T @ b[basis.block_nodes[K]]
-    return out
-
-
-def dg_expand(basis: DGBlockBasis, coeffs: np.ndarray) -> list:
-    """Per-block fine-grid restrictions of a DG coarse vector."""
-    out = []
-    for K in range(basis.coarse.n_blocks):
-        sl = slice(basis.offsets[K], basis.offsets[K + 1])
-        out.append(basis.columns[K] @ coeffs[sl])
-    return out

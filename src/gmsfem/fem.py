@@ -195,30 +195,29 @@ def reduce_dirichlet(A: sp.csr_matrix, b: np.ndarray, mesh: FineMesh,
 @dataclass
 class ErrorReport:
     energy_sq: float
-    h1_sq: float
     l2w_sq: float
     relative: bool  # False when the reference norm vanished
 
     def as_percent(self) -> tuple:
-        return (100.0 * self.energy_sq, 100.0 * self.h1_sq, 100.0 * self.l2w_sq)
+        return (100.0 * self.energy_sq, 100.0 * self.l2w_sq)
 
 
 def norms(u: np.ndarray, v: np.ndarray, A_kappa: sp.csr_matrix,
           M_kappa: sp.csr_matrix) -> tuple:
-    """Squared energy, H1 (kappa-weighted seminorm) and weighted-L2 of u - v."""
+    """Squared energy and weighted-L2 norms of u - v."""
     if len(u) != len(v) or len(u) != A_kappa.shape[0]:
         raise ValueError("size mismatch")
     d = u - v
     e = float(d @ (A_kappa @ d))
     m = float(d @ (M_kappa @ d))
-    return e, e, m
+    return e, m
 
 
 def relative_errors(u: np.ndarray, ref: np.ndarray, A_kappa, M_kappa) -> ErrorReport:
     """Squared relative errors against ref, absolute with a flag if ref is zero."""
-    e, h, m = norms(u, ref, A_kappa, M_kappa)
+    e, m = norms(u, ref, A_kappa, M_kappa)
     re = float(ref @ (A_kappa @ ref))
     rm = float(ref @ (M_kappa @ ref))
     if re <= 0.0 or rm <= 0.0:
-        return ErrorReport(e, h, m, relative=False)
-    return ErrorReport(e / re, h / re, m / rm, relative=True)
+        return ErrorReport(e, m, relative=False)
+    return ErrorReport(e / re, m / rm, relative=True)

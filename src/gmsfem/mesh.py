@@ -2,15 +2,14 @@
 
 The fine grid splits every square cell along the bottom-left to top-right
 diagonal, giving a deterministic P1 triangulation.  The coarse grid is a
-partition into rectangular blocks of fine cells; node neighborhoods,
-padded neighborhoods and overlapping subdomains are all axis-aligned
-rectangles of fine cells, so every index set is computed from box
-arithmetic and is bit-reproducible.
+partition into rectangular blocks of fine cells; node neighborhoods and
+overlapping subdomains are all axis-aligned rectangles of fine cells, so
+every index set is computed from box arithmetic and is bit-reproducible.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -118,10 +117,7 @@ class Neighborhood:
     cell_box: tuple      # (cx0, cx1, cy0, cy1) fine-cell half-open box
     cells: np.ndarray
     nodes: np.ndarray
-    ext_cell_box: tuple  # cell_box padded by `pad` fine-cell rings, clipped
-    ext_cells: np.ndarray
-    ext_nodes: np.ndarray
-    boundary_nodes: np.ndarray = field(default=None)  # nodes on the box boundary
+    boundary_nodes: np.ndarray  # nodes on the box boundary
 
     @property
     def n_nodes(self) -> int:
@@ -158,9 +154,6 @@ class CoarseMesh:
     def block_cell_box(self, bi: int, bj: int) -> tuple:
         return (bi * self.mx, (bi + 1) * self.mx, bj * self.my, (bj + 1) * self.my)
 
-    def block_to_fine(self, bi: int, bj: int) -> np.ndarray:
-        return self.fine.cells_in_box(*self.block_cell_box(bi, bj))
-
     def block_node_box(self, K: int) -> tuple:
         """Node-index box (ix0, ix1, iy0, iy1) of coarse cell K (row-major)."""
         bi, bj = K % self.Nx, K // self.Nx
@@ -185,7 +178,7 @@ def _box_boundary_nodes(fine: FineMesh, box: tuple) -> np.ndarray:
     return nodes[on]
 
 
-def build_coarse_mesh(fine: FineMesh, Nx: int, Ny: int, pad: int = 0) -> CoarseMesh:
+def build_coarse_mesh(fine: FineMesh, Nx: int, Ny: int) -> CoarseMesh:
     """Partition the fine grid into Nx*Ny blocks and build node neighborhoods."""
     if Nx < 1 or Ny < 1:
         raise ValueError(f"coarse cell counts must be >= 1, got ({Nx}, {Ny})")
@@ -207,18 +200,11 @@ def build_coarse_mesh(fine: FineMesh, Nx: int, Ny: int, pad: int = 0) -> CoarseM
     for i in range(cm.N_v):
         I, J = cm.coarse_node_ij(i)
         box = _neighborhood_box(cm, I, J)
-        ext = (
-            max(box[0] - pad, 0), min(box[1] + pad, fine.nx),
-            max(box[2] - pad, 0), min(box[3] + pad, fine.ny),
-        )
         nbhs.append(Neighborhood(
             coarse_node=i,
             cell_box=box,
             cells=fine.cells_in_box(*box),
             nodes=fine.nodes_in_cell_box(*box),
-            ext_cell_box=ext,
-            ext_cells=fine.cells_in_box(*ext),
-            ext_nodes=fine.nodes_in_cell_box(*ext),
             boundary_nodes=_box_boundary_nodes(fine, box),
         ))
     cm.neighborhoods = nbhs
@@ -237,10 +223,6 @@ class OverlapDecomposition:
     cell_boxes: list
     subdomain_nodes: list   # all nodes of each padded box
     interior_nodes: list    # nodes with zero trace on the padded box boundary
-
-    @property
-    def n_subdomains(self) -> int:
-        return len(self.cell_boxes)
 
 
 def build_overlap(coarse: CoarseMesh, delta_layers: int = 1) -> OverlapDecomposition:

@@ -9,7 +9,7 @@ into a linear multiscale solve in a precomputed offline space.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,7 +18,7 @@ from .fem import BoundaryCondition, assemble_load, assemble_mass, assemble_stiff
 from .mesh import CoarseMesh
 from .coupling import build_coarse_basis, solve_coarse_galerkin
 from .solvers import NumericalError
-from .spaces import build_online, offline_spaces
+from .spaces import build_online, local_forms, offline_spaces
 
 
 @dataclass
@@ -139,13 +139,9 @@ def picard_solve(coarse: CoarseMesh, nl: NonlinearCoefficient, f,
     def build_basis(node_mu):
         spaces = {}
         for i, off in offline.items():
-            region = off.region
-            kmu = nl.at_value(float(node_mu[i]))
-            a_mat = assemble_mass(fine, weight=kmu, restrict_to=region.nodes,
-                                  cells=region.cells)
-            s_mat = assemble_stiffness(fine, kmu, restrict_to=region.nodes,
-                                       cells=region.cells)
-            spaces[i] = build_online(off, a_mat, s_mat,
+            forms = local_forms(fine, nl.at_value(float(node_mu[i])),
+                                "kappa_mass")
+            spaces[i] = build_online(off, *forms(off.region),
                                      count=online_count or off.dim)
         return build_coarse_basis(coarse, pou, spaces)
 

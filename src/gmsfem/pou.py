@@ -6,7 +6,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .coeff import CoefficientField
 from .fem import assemble_stiffness
@@ -22,9 +21,6 @@ class PartitionOfUnity:
     coarse: CoarseMesh
     chi: np.ndarray  # (N_v, n_fine_nodes), hard zeros outside omega_i
 
-    def vector(self, i: int) -> np.ndarray:
-        return self.chi[i]
-
     def sum_defect(self) -> float:
         return float(np.abs(self.chi.sum(axis=0) - 1.0).max())
 
@@ -32,13 +28,6 @@ class PartitionOfUnity:
         """Total energy functional sum_i int kappa |grad chi_i|^2."""
         A = assemble_stiffness(self.coarse.fine, kappa)
         return float(sum(self.chi[i] @ (A @ self.chi[i]) for i in range(len(self.chi))))
-
-
-def _support_mask(coarse: CoarseMesh) -> np.ndarray:
-    mask = np.zeros((coarse.N_v, coarse.fine.n_nodes), dtype=bool)
-    for nb in coarse.neighborhoods:
-        mask[nb.coarse_node, nb.nodes] = True
-    return mask
 
 
 def _normalized(kind: str, coarse: CoarseMesh, chi: np.ndarray) -> PartitionOfUnity:

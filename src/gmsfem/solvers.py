@@ -1,11 +1,11 @@
-"""Numerical kernels: generalized eigensolver, direct factors, CG and PCG
+"""Numerical kernels: generalized eigensolver, direct factors, and PCG
 with a two-level additive Schwarz preconditioner and a Lanczos condition
 estimate recovered from the CG coefficients."""
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as la
@@ -93,10 +93,6 @@ class SparseFactor:
         return self._lu.solve(np.asarray(b, dtype=float))
 
 
-def sparse_direct(A) -> SparseFactor:
-    return SparseFactor(A)
-
-
 @dataclass
 class PcgReport:
     iterations: int
@@ -105,10 +101,6 @@ class PcgReport:
     converged: bool
     ritz_min: float = 0.0
     ritz_max: float = 0.0
-
-    def to_csv_row(self) -> str:
-        return (f"{self.iterations},{self.condition_estimate:.6e},"
-                f"{int(self.converged)},{self.residuals[-1]:.6e}")
 
 
 def _lanczos_condition(alphas, betas) -> tuple:
@@ -179,10 +171,6 @@ def pcg(A, b: np.ndarray, M_inv=None, tol: float = 1e-10, max_it: int = 1000,
     return x, PcgReport(max_it, history, cond, False, rmin, rmax)
 
 
-def cg(A, b, tol=1e-10, max_it=1000, x0=None):
-    return pcg(A, b, M_inv=None, tol=tol, max_it=max_it, x0=x0)
-
-
 class TwoLevelPreconditioner:
     """Coarse solve plus overlapping-subdomain solves, all additive.
 
@@ -196,10 +184,6 @@ class TwoLevelPreconditioner:
         self.coarse_factor = coarse_factor
         self.sub_indices = sub_indices
         self.sub_factors = sub_factors
-
-    @property
-    def n_subdomains(self) -> int:
-        return len(self.sub_indices)
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         out = self.coarse_P @ self.coarse_factor(self.coarse_P.T @ v)

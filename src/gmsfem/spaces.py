@@ -19,7 +19,7 @@ from .coeff import CoefficientField
 from .fem import assemble_mass, assemble_stiffness
 from .mesh import CoarseMesh, FineMesh, Neighborhood
 from .pou import pou_gradient_weight
-from .solvers import NumericalError, SparseFactor, _gen_eig, dense_gen_eig
+from .solvers import SparseFactor, _gen_eig, dense_gen_eig
 
 A_FORMS = ("pou_stiffness", "pou_grad_mass", "kappa_mass", "kappa_stiffness")
 
@@ -35,11 +35,7 @@ class LocalRegion:
     label: int = -1
 
     @classmethod
-    def from_neighborhood(cls, nb: Neighborhood, extended: bool = False):
-        if extended:
-            return cls(nodes=nb.ext_nodes, cells=nb.ext_cells,
-                       cell_box=nb.ext_cell_box, boundary_nodes=None,
-                       label=nb.coarse_node)
+    def from_neighborhood(cls, nb: Neighborhood):
         return cls(nodes=nb.nodes, cells=nb.cells, cell_box=nb.cell_box,
                    boundary_nodes=nb.boundary_nodes, label=nb.coarse_node)
 
@@ -60,12 +56,6 @@ class LocalRegion:
         out = lut[nodes]
         if np.any(out < 0):
             raise ValueError("nodes outside the region")
-        return out
-
-    def embed(self, mesh: FineMesh, columns: np.ndarray) -> np.ndarray:
-        """Zero-extend local columns to full fine vectors."""
-        out = np.zeros((mesh.n_nodes,) + columns.shape[1:])
-        out[self.nodes] = columns
         return out
 
 

@@ -105,6 +105,16 @@ def test_offline_requires_count_or_threshold(tmp_path):
     ("snapshots", "spectral", "offline"),
     ("snapshots", "random", "snapshots"),
     ("count", [3, 4], "solve"),
+    ("field", {"preset": "channels", "eta": -5}, "solve"),
+    ("count", 0, "solve"),
+    ("count", -2, "offline"),
+    ("threshold", "x", "offline"),
+    ("field", {"file": "no-such-field.txt"}, "solve"),
+    ("online_count", "a", "online"),
+    ("source", "a", "solve"),
+    ("fine", 0, "solve"),
+    ("bogus", 1, "solve"),
+    ("bogus", 1, "offline"),
 ])
 def test_bad_pipeline_key_is_config_error(tmp_path, capsys, key, value,
                                           command):
@@ -112,7 +122,9 @@ def test_bad_pipeline_key_is_config_error(tmp_path, capsys, key, value,
                           "field": {"preset": "channels", "eta": 1e3},
                           "count": 3, "online_count": 2, key: value})
     assert main(["--config", cfg, command]) == 2
-    assert key in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert key in err
+    assert err.count("\n") == 1  # one line, no traceback
 
 
 def test_solve_writes_solution(tmp_path, capsys):
@@ -124,6 +136,19 @@ def test_solve_writes_solution(tmp_path, capsys):
     u = np.loadtxt(out)
     assert u.shape == (21 * 21,)
     assert "coarse dim" in capsys.readouterr().out
+
+
+def test_solve_output_does_not_depend_on_workers(tmp_path):
+    cfg = _cfg(tmp_path, {"fine": 20, "coarse": 4,
+                          "field": {"preset": "channels", "eta": 1e3},
+                          "count": 3})
+    outs = []
+    for w in (1, 2):
+        out = tmp_path / f"u{w}.txt"
+        assert main(["--config", cfg, "--out", str(out), "--workers", str(w),
+                     "solve"]) == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
 
 
 def test_bad_bc(tmp_path):

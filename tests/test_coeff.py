@@ -26,7 +26,6 @@ def test_scalar_and_tensor_access():
     assert t.is_tensor
     assert np.array_equal(t.k11(), [2.0, 5.0])
     assert np.array_equal(t.k22(), [3.0, 7.0])
-    assert np.array_equal(f.scaled(2.0).values, [2.0, 8.0])
 
 
 def test_parameter_point_box_check():
@@ -59,7 +58,7 @@ def test_affine_evaluate_matches_manual_sum():
     got = evaluate(aff, mu)
     want = 0.3 * f1.values + 0.7 * f2.values
     assert np.allclose(got.values, want, rtol=0, atol=1e-15)
-    assert aff.Q == 2 and aff.p == 1
+    assert aff.Q == 2
     assert np.allclose(aff.thetas(mu), [0.3, 0.7])
 
 

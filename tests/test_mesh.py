@@ -100,15 +100,6 @@ def test_neighborhood_boxes_clip_at_domain():
     assert len(bnd) == 24
 
 
-def test_neighborhood_padding():
-    fine = build_fine_mesh(12, 12)
-    cm = build_coarse_mesh(fine, 4, 4, pad=2)
-    nb = cm.neighborhoods[cm.coarse_node_id(2, 2)]
-    assert nb.ext_cell_box == (1, 11, 1, 11)
-    nb0 = cm.neighborhoods[cm.coarse_node_id(0, 0)]
-    assert nb0.ext_cell_box == (0, 5, 0, 5)
-
-
 def test_box_boundary_nodes():
     fine = build_fine_mesh(8, 8)
     bnd = _box_boundary_nodes(fine, (2, 5, 2, 5))
@@ -122,7 +113,7 @@ def test_overlap_decomposition():
     fine = build_fine_mesh(12, 12)
     cm = build_coarse_mesh(fine, 3, 3)
     ov = build_overlap(cm, delta_layers=1)
-    assert ov.n_subdomains == 9
+    assert len(ov.cell_boxes) == 9
     assert ov.cell_boxes[0] == (0, 5, 0, 5)  # clipped at the domain corner
     assert ov.cell_boxes[4] == (3, 9, 3, 9)
     # subdomains cover every fine node

@@ -34,10 +34,6 @@ def test_local_region_index_and_embed(setup):
     assert np.array_equal(idx, np.arange(5))
     with pytest.raises(ValueError):
         region.local_index(fine, np.array([0]))  # node 0 is outside
-    cols = np.ones((region.n_nodes, 2))
-    full = region.embed(fine, cols)
-    assert full.shape == (fine.n_nodes, 2)
-    assert full.sum() == 2 * region.n_nodes
 
 
 def test_harmonic_snapshots_are_harmonic_and_partition(setup):

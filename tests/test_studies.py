@@ -50,7 +50,7 @@ def test_convergence_rows_shape(tmp_path):
     assert len(rows) == 2
     assert rows[0][1] == "+0" and rows[1][1] == "+1"
     assert int(rows[1][2]) > int(rows[0][2])  # dimension grows
-    assert rows[0][7] == rows[1][7]  # shared config hash
+    assert rows[0][6] == rows[1][6]  # shared config hash
     lines = out.read_text().strip().splitlines()
     assert lines[0].split(",")[0] == "variant"
     assert len(lines) == 3
