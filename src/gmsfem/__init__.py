@@ -16,7 +16,7 @@ from .spaces import (LocalRegion, SnapshotSpace, ReducedSpace,
                      spectral_snapshots, build_offline, build_online,
                      offline_spaces, truncate, count_unbounded)
 from .coupling import (CoarseBasis, CoarseSolution, build_coarse_basis,
-                       solve_coarse_galerkin, solve_fine, solve_multiscale,
+                       solve_coarse_galerkin, solve_fine,
                        build_affine_operator)
 from .solvers import (NumericalError, dense_gen_eig, SparseFactor, pcg,
                       TwoLevelPreconditioner, build_two_level, PcgReport)

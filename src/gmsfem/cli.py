@@ -16,16 +16,16 @@ import numpy as np
 from . import fields as field_presets
 from .coeff import read_field, write_field
 from .coupling import build_coarse_basis, solve_coarse_galerkin, solve_fine
-from .fem import (BoundaryCondition, assemble_load, assemble_stiffness,
-                  relative_errors)
+from .fem import BoundaryCondition, assemble_load, relative_errors
 from .mesh import build_coarse_mesh, build_fine_mesh
 from .pou import bilinear_pou, energy_min_pou, multiscale_pou
 from .solvers import NumericalError
 from .spaces import (A_FORMS, LocalRegion, build_online, local_forms,
                      offline_spaces, parallel_map, snapshot_space)
-from .studies import (run_anisotropic_study, run_convergence_study,
-                      run_eigendecay_study, run_nonlinear_study,
-                      run_parametric_study, run_precond_study)
+from .studies import (PARAM_SAMPLES, run_anisotropic_study,
+                      run_convergence_study, run_eigendecay_study,
+                      run_nonlinear_study, run_parametric_study,
+                      run_precond_study)
 
 
 class ConfigError(ValueError):
@@ -150,8 +150,8 @@ def _snapshot_kind(cfg: dict) -> str:
     return kind
 
 
-def _offline_options(cfg: dict) -> dict:
-    """Validated offline_spaces keywords of a pipeline config."""
+def _offline_stage(cfg: dict, workers: int) -> tuple:
+    """(fine, kappa, pou, a_form, spaces): a pipeline config's offline stage."""
     a_form = cfg.get("a_form", "pou_grad_mass")
     if a_form not in A_FORMS:
         raise ConfigError(f"a_form must be one of {A_FORMS}, not {a_form!r}")
@@ -163,8 +163,13 @@ def _offline_options(cfg: dict) -> dict:
         _number(count, "count", integer=True, low=1)
     if threshold is not None:
         _number(threshold, "threshold", low=0)
-    return dict(snapshots=_snapshot_kind(cfg), a_form=a_form, count=count,
-                threshold=threshold)
+    kind = _snapshot_kind(cfg)
+    fine, coarse = _meshes(cfg)
+    kappa = _field_from_config(cfg, fine)
+    pou = _pou_from_config(cfg, coarse, kappa)
+    spaces = offline_spaces(coarse, kappa, kind, a_form, pou=pou, count=count,
+                            threshold=threshold, workers=workers)
+    return fine, kappa, pou, a_form, spaces
 
 
 def cmd_mesh_info(args) -> int:
@@ -203,17 +208,22 @@ def cmd_snapshots(args) -> int:
     return 0
 
 
+def _solve(cfg: dict, workers: int) -> tuple:
+    """(pou, basis, coarse solution, errors) of a pipeline config."""
+    bc = _bc_from_config(cfg)
+    f = float(_number(cfg.get("source", 1.0), "source"))
+    fine, kappa, pou, _, spaces = _offline_stage(cfg, workers)
+    basis = build_coarse_basis(pou.coarse, pou, spaces)
+    u_ref, A, M = solve_fine(fine, kappa, f, bc)
+    sol = solve_coarse_galerkin(fine, A, assemble_load(fine, f), bc, basis)
+    return pou, basis, sol, relative_errors(sol.u, u_ref, A, M)
+
+
 def cmd_offline(args) -> int:
     cfg = _load_config(args.config, PIPELINE_KEYS)
-    opts = _offline_options(cfg)
-    fine, coarse = _meshes(cfg)
-    kappa = _field_from_config(cfg, fine)
-    pou = _pou_from_config(cfg, coarse, kappa)
-    spaces = offline_spaces(coarse, kappa, pou=pou, workers=args.workers,
-                            **opts)
+    *_, spaces = _offline_stage(cfg, args.workers)
     dims = [s.dim for s in spaces.values()]
-    total = sum(dims)
-    print(f"offline spaces: {len(spaces)} neighborhoods, total dim {total}, "
+    print(f"offline spaces: {len(spaces)} neighborhoods, total dim {sum(dims)}, "
           f"per node min {min(dims)} max {max(dims)}")
     if args.out:
         np.savez_compressed(
@@ -229,15 +239,10 @@ def cmd_offline(args) -> int:
 
 def cmd_online(args) -> int:
     cfg = _load_config(args.config, PIPELINE_KEYS)
-    opts = _offline_options(cfg)
     on_count = _number(_require(cfg, "online_count"), "online_count",
                        integer=True, low=1)
-    fine, coarse = _meshes(cfg)
-    kappa = _field_from_config(cfg, fine)
-    pou = _pou_from_config(cfg, coarse, kappa)
-    offline = offline_spaces(coarse, kappa, pou=pou, workers=args.workers,
-                             **opts)
-    forms = local_forms(fine, kappa, opts["a_form"], pou)
+    fine, kappa, pou, a_form, offline = _offline_stage(cfg, args.workers)
+    forms = local_forms(fine, kappa, a_form, pou)
     dims = parallel_map(
         lambda off: build_online(off, *forms(off.region),
                                  count=min(on_count, off.dim)).dim,
@@ -248,20 +253,7 @@ def cmd_online(args) -> int:
 
 def cmd_solve(args) -> int:
     cfg = _load_config(args.config, PIPELINE_KEYS)
-    opts = _offline_options(cfg)
-    fine, coarse = _meshes(cfg)
-    kappa = _field_from_config(cfg, fine)
-    pou = _pou_from_config(cfg, coarse, kappa)
-    bc = _bc_from_config(cfg)
-    f = float(_number(cfg.get("source", 1.0), "source"))
-    spaces = offline_spaces(coarse, kappa, pou=pou, workers=args.workers,
-                            **opts)
-    basis = build_coarse_basis(coarse, pou, spaces)
-    A = assemble_stiffness(fine, kappa)
-    b = assemble_load(fine, f)
-    sol = solve_coarse_galerkin(fine, A, b, bc, basis)
-    u_ref, A_k, M_k = solve_fine(fine, kappa, f, bc)
-    err = relative_errors(sol.u, u_ref, A_k, M_k)
+    _, basis, sol, err = _solve(cfg, args.workers)
     e, l2 = err.as_percent()
     print(f"coarse dim {basis.dim}, energy {e:.4f}%, weighted-l2 {l2:.6f}%")
     if args.out:
@@ -280,11 +272,51 @@ _STUDIES = {
 }
 
 
+# lower bounds of study values; other integers must be >= 1
+STUDY_LOW = {"extra_max": 0, "spectral_extra": 0, "eta": 1, "etas": 1,
+             "inclusion_value": 1, "mu": 0}
+
+
+def _study_config(path, runner) -> dict:
+    """The study config at path, each value checked against the kind of
+    the runner's default for it; workers and out come from the flags."""
+    params = inspect.signature(runner).parameters
+    cfg = _load_config(path, set(params) - {"workers", "out"})
+    for key, v in cfg.items():
+        default = params[key].default
+        if isinstance(default, str):
+            if v not in SNAPSHOTS:
+                raise ConfigError(f"{key} must be one of {SNAPSHOTS}, not {v!r}")
+        elif default is None:  # base_count: null or a mode count
+            if v is not None:
+                _number(v, key, integer=True, low=1)
+        else:
+            many = isinstance(default, tuple)
+            if many and not (isinstance(v, list) and v):
+                raise ConfigError(f"{key} must be a non-empty list, not {v!r}")
+            integer = isinstance(default[0] if many else default, int)
+            low = STUDY_LOW.get(key, 1 if integer else None)
+            for x in v if many else [v]:
+                _number(x, key, integer=integer, low=low)
+    vals = {k: p.default for k, p in params.items()} | cfg
+    # the eigendecay study's target is one block of a 5x5 coarse grid
+    fine_n, coarse_n = vals["fine_n"], vals.get("coarse_n", 5)
+    if fine_n % coarse_n:
+        raise ConfigError(f"coarse_n {coarse_n} must divide fine_n {fine_n}")
+    if vals.get("mu", 0) > 1:
+        raise ConfigError(f"mu must be <= 1, not {vals['mu']}")
+    if "u_range" in cfg and len(cfg["u_range"]) != 2:
+        raise ConfigError(f"u_range must be [low, high], not {cfg['u_range']}")
+    if max(vals.get("n_rb_values", [1])) > len(PARAM_SAMPLES):
+        raise ConfigError(f"n_rb_values must be <= {len(PARAM_SAMPLES)}")
+    return cfg
+
+
 def cmd_study(args) -> int:
     runner = _STUDIES[args.command]
     kwargs = {}
     if args.config is not None:
-        kwargs = _load_config(args.config, inspect.signature(runner).parameters)
+        kwargs = _study_config(args.config, runner)
     kwargs["workers"] = args.workers
     if args.out:
         kwargs["out"] = args.out
@@ -294,26 +326,26 @@ def cmd_study(args) -> int:
     return 0
 
 
+# the self-test's problem; bc, pou, snapshots and a_form keep their defaults
+SELF_TEST = {"fine": 20, "coarse": 4, "field": {"preset": "channels", "eta": 1e3},
+             "count": 3}
+
+
 def cmd_self_test(args) -> int:
     """Small end-to-end check on a coarse problem."""
-    fine = build_fine_mesh(20, 20)
-    coarse = build_coarse_mesh(fine, 4, 4)
-    kappa = field_presets.channels_and_inclusions(fine, 1e3)
-    pou = multiscale_pou(coarse, kappa)
+    pou, basis, _, err = _solve(SELF_TEST, args.workers)
     defect = pou.sum_defect()
-    spaces = offline_spaces(coarse, kappa, "fine", pou=pou, count=3)
-    basis = build_coarse_basis(coarse, pou, spaces)
-    bc = BoundaryCondition(lambda x, y: x + y)
-    A = assemble_stiffness(fine, kappa)
-    b = assemble_load(fine, 1.0)
-    sol = solve_coarse_galerkin(fine, A, b, bc, basis)
-    u_ref, A_k, M_k = solve_fine(fine, kappa, 1.0, bc)
-    err = relative_errors(sol.u, u_ref, A_k, M_k)
     ok = defect < 1e-12 and err.energy_sq < 1.0
     print(f"pou defect {defect:.2e}, coarse dim {basis.dim}, "
           f"energy error {100 * err.energy_sq:.3f}%: "
           f"{'ok' if ok else 'FAILED'}")
     return 0 if ok else 3
+
+
+COMMANDS = {"mesh-info": cmd_mesh_info, "gen-field": cmd_gen_field,
+            "snapshots": cmd_snapshots, "offline": cmd_offline,
+            "online": cmd_online, "solve": cmd_solve,
+            "self-test": cmd_self_test, **dict.fromkeys(_STUDIES, cmd_study)}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -326,27 +358,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=1,
                    help="worker threads for per-neighborhood work")
     sub = p.add_subparsers(dest="command", required=True)
-    for name in ("mesh-info", "gen-field", "snapshots", "offline", "online",
-                 "solve", "self-test", *_STUDIES):
+    for name in COMMANDS:
         sub.add_parser(name)
     return p
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    handlers = {
-        "mesh-info": cmd_mesh_info,
-        "gen-field": cmd_gen_field,
-        "snapshots": cmd_snapshots,
-        "offline": cmd_offline,
-        "online": cmd_online,
-        "solve": cmd_solve,
-        "self-test": cmd_self_test,
-    }
-    for s in _STUDIES:
-        handlers[s] = cmd_study
     try:
-        return handlers[args.command](args)
+        return COMMANDS[args.command](args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -17,7 +17,10 @@ from .coeff import AffineCoefficient, CoefficientField, ParameterPoint
 from .fem import (BoundaryCondition, assemble_load, assemble_mass,
                   assemble_stiffness, free_nodes, reduce_dirichlet)
 from .mesh import CoarseMesh, FineMesh
-from .solvers import NumericalError
+from .solvers import NumericalError, SparseFactor
+
+# relative pivot size below which the compressed solve drops a basis column
+RANK_TOL = 1e-12
 
 
 @dataclass
@@ -144,12 +147,12 @@ def solve_coarse_galerkin(mesh: FineMesh, A: sp.csr_matrix, b: np.ndarray,
     return CoarseSolution(u=u, coefficients=uc, basis=basis)
 
 
-def _solve_compressed(P: np.ndarray, A_ff, b_f: np.ndarray, dim: int,
-                      rank_tol: float = 1e-12) -> np.ndarray:
+def _solve_compressed(P: np.ndarray, A_ff, b_f: np.ndarray,
+                      dim: int) -> np.ndarray:
     """Galerkin dofs through a column-pivoted QR of the basis."""
     Q, R, piv = la.qr(P, mode="economic", pivoting=True)
     diag = np.abs(np.diag(R))
-    r = int(np.sum(diag > rank_tol * max(diag[0], np.finfo(float).tiny)))
+    r = int(np.sum(diag > RANK_TOL * max(diag[0], np.finfo(float).tiny)))
     if r == 0:
         raise NumericalError("coarse basis has numerical rank zero")
     Q = Q[:, :r]
@@ -187,7 +190,6 @@ def build_affine_operator(mesh: FineMesh, aff: AffineCoefficient,
 
 def solve_fine(mesh: FineMesh, kappa: CoefficientField, f, bc: BoundaryCondition):
     """Direct fine-grid reference solve; returns (u, A_kappa, M_kappa)."""
-    from .solvers import SparseFactor
     A = assemble_stiffness(mesh, kappa)
     M = assemble_mass(mesh, weight=kappa.k11())
     b = assemble_load(mesh, f)
@@ -195,11 +197,3 @@ def solve_fine(mesh: FineMesh, kappa: CoefficientField, f, bc: BoundaryCondition
     u = lift.copy()
     u[fr] += SparseFactor(A_ff).solve(b_f)
     return u, A, M
-
-
-def solve_multiscale(mesh: FineMesh, kappa: CoefficientField, f,
-                     bc: BoundaryCondition, basis: CoarseBasis) -> CoarseSolution:
-    """Convenience wrapper: assemble the fine forms and project."""
-    A = assemble_stiffness(mesh, kappa)
-    b = assemble_load(mesh, f)
-    return solve_coarse_galerkin(mesh, A, b, bc, basis)

@@ -44,26 +44,25 @@ class NonlinearCoefficient:
         return CoefficientField(self.lam0 * (self.kappa1.values + e * self.kappa2.values))
 
 
+def _averages(fine, u: np.ndarray, cell_sets) -> np.ndarray:
+    """Mass-weighted average of u over each set of fine cells."""
+    ones = np.ones(fine.n_nodes)
+    out = []
+    for cells in cell_sets:
+        m = assemble_mass(fine, cells=cells) @ ones
+        out.append(float(u @ m) / float(ones @ m))
+    return np.array(out)
+
+
 def block_averages(coarse: CoarseMesh, u: np.ndarray) -> np.ndarray:
     """Mass-weighted average of u over every coarse block."""
-    fine = coarse.fine
-    ones = np.ones(fine.n_nodes)
-    out = np.empty(coarse.n_blocks)
-    for K in range(coarse.n_blocks):
-        Mb = assemble_mass(fine, cells=fine.cells_in_box(*coarse.block_node_box(K)))
-        out[K] = float(u @ (Mb @ ones)) / float(ones @ (Mb @ ones))
-    return out
+    boxes = (coarse.block_node_box(K) for K in range(coarse.n_blocks))
+    return _averages(coarse.fine, u, (coarse.fine.cells_in_box(*b) for b in boxes))
 
 
 def node_averages(coarse: CoarseMesh, u: np.ndarray) -> np.ndarray:
     """Mass-weighted average of u over every coarse node neighborhood."""
-    fine = coarse.fine
-    ones = np.ones(fine.n_nodes)
-    out = np.empty(coarse.N_v)
-    for nb in coarse.neighborhoods:
-        Mb = assemble_mass(fine, cells=nb.cells)
-        out[nb.coarse_node] = float(u @ (Mb @ ones)) / float(ones @ (Mb @ ones))
-    return out
+    return _averages(coarse.fine, u, (nb.cells for nb in coarse.neighborhoods))
 
 
 def cellwise_parameter(coarse: CoarseMesh, block_avg: np.ndarray) -> np.ndarray:
@@ -106,8 +105,8 @@ def build_nonlinear_offline(coarse: CoarseMesh, nl: NonlinearCoefficient,
 def picard_solve(coarse: CoarseMesh, nl: NonlinearCoefficient, f,
                  bc: BoundaryCondition, pou, sample_values: np.ndarray,
                  snap_per_sample: int = 8, offline_count: int = 10,
-                 online_count: int = None, tol: float = 1e-6,
-                 max_it: int = 20, offline: dict = None) -> PicardState:
+                 tol: float = 1e-6, max_it: int = 20,
+                 offline: dict = None) -> PicardState:
     """Fixed-point iteration with a blockwise-frozen conductivity.
 
     The initial iterate is the linear solve at the sample midpoint.  Each
@@ -141,8 +140,7 @@ def picard_solve(coarse: CoarseMesh, nl: NonlinearCoefficient, f,
         for i, off in offline.items():
             forms = local_forms(fine, nl.at_value(float(node_mu[i])),
                                 "kappa_mass")
-            spaces[i] = build_online(off, *forms(off.region),
-                                     count=online_count or off.dim)
+            spaces[i] = build_online(off, *forms(off.region), count=off.dim)
         return build_coarse_basis(coarse, pou, spaces)
 
     def step(u_prev):

@@ -8,9 +8,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coeff import CoefficientField
-from .fem import assemble_stiffness
+from .fem import _triangle_geometry, assemble_mass, assemble_stiffness
 from .mesh import CoarseMesh
 from .solvers import NumericalError, SparseFactor, pcg
+
+# relative residual at which CG stops on the energy-minimizing multiplier
+MULTIPLIER_TOL = 1e-10
 
 
 @dataclass
@@ -82,8 +85,7 @@ def multiscale_pou(coarse: CoarseMesh, kappa: CoefficientField) -> PartitionOfUn
     return _normalized("multiscale", coarse, chi)
 
 
-def energy_min_pou(coarse: CoarseMesh, kappa: CoefficientField,
-                   tol: float = 1e-10) -> PartitionOfUnity:
+def energy_min_pou(coarse: CoarseMesh, kappa: CoefficientField) -> PartitionOfUnity:
     """Minimize the total POU energy subject to the partition constraint.
 
     Stationarity of the Lagrangian gives chi_i = A_i^{-1} R_i p with the
@@ -113,10 +115,10 @@ def energy_min_pou(coarse: CoarseMesh, kappa: CoefficientField,
             out[fn] += f.solve(v[fn])
         return out
 
-    from .fem import assemble_mass
     B = (A + assemble_mass(fine, weight=kappa)).tocsr()
     ones = np.ones(n)
-    p, report = pcg(apply_T, ones, M_inv=lambda v: B @ v, tol=tol, max_it=10 * n)
+    p, report = pcg(apply_T, ones, M_inv=lambda v: B @ v, tol=MULTIPLIER_TOL,
+                     max_it=10 * n)
     if not report.converged:
         raise NumericalError(
             f"energy-minimizing multiplier CG stalled at residual {report.residuals[-1]:.3e}"
@@ -130,7 +132,6 @@ def energy_min_pou(coarse: CoarseMesh, kappa: CoefficientField,
 def pou_gradient_weight(pou: PartitionOfUnity, kappa: CoefficientField) -> np.ndarray:
     """Per-triangle weight sum_k kappa |grad chi_k|^2 (piecewise constant)."""
     fine = pou.coarse.fine
-    from .fem import _triangle_geometry
     tris = np.arange(2 * fine.n_cells)
     b, c, area = _triangle_geometry(fine, tris)
     conn = fine.triangles

@@ -17,7 +17,7 @@ import scipy.sparse as sp
 
 from .coeff import CoefficientField
 from .fem import assemble_mass, assemble_stiffness
-from .mesh import CoarseMesh, FineMesh, Neighborhood
+from .mesh import CoarseMesh, FineMesh, Neighborhood, _box_boundary_nodes
 from .pou import pou_gradient_weight
 from .solvers import SparseFactor, _gen_eig, dense_gen_eig
 
@@ -41,7 +41,6 @@ class LocalRegion:
 
     @classmethod
     def from_cell_box(cls, mesh: FineMesh, box: tuple, label: int = -1):
-        from .mesh import _box_boundary_nodes
         return cls(nodes=mesh.nodes_in_cell_box(*box),
                    cells=mesh.cells_in_box(*box), cell_box=box,
                    boundary_nodes=_box_boundary_nodes(mesh, box), label=label)
@@ -206,6 +205,8 @@ def _orthonormal_transform(G: np.ndarray, drop_tol: float):
 def _select(lams: np.ndarray, count=None, threshold=None) -> int:
     n_inf = int(np.sum(np.isinf(lams)))
     if count is not None:
+        if count < 1:
+            raise ValueError(f"count must be >= 1, not {count}")
         return min(int(count), len(lams))
     if threshold is not None:
         finite = lams[np.isfinite(lams)]

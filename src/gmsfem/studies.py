@@ -16,8 +16,9 @@ import json
 import numpy as np
 import scipy.sparse as sp
 
-from .coeff import CoefficientField, evaluate
-from .coupling import (build_coarse_basis, solve_coarse_galerkin, solve_fine)
+from .coeff import (CoefficientField, anisotropic_from_scalar,
+                    cell_box_from_coords, evaluate)
+from .coupling import build_coarse_basis, solve_coarse_galerkin, solve_fine
 from .fem import (BoundaryCondition, assemble_load, assemble_mass,
                   assemble_stiffness, reduce_dirichlet, relative_errors)
 from .fields import (affine_four_term, anisotropic_pair, centered_inclusion,
@@ -26,7 +27,6 @@ from .mesh import build_coarse_mesh, build_fine_mesh, build_overlap
 from .nonlinear import (NonlinearCoefficient, build_nonlinear_offline,
                         picard_solve)
 from .pou import bilinear_pou, multiscale_pou
-from .coeff import anisotropic_from_scalar
 from .solvers import SparseFactor, build_two_level, pcg
 from .spaces import (LocalRegion, ReducedSpace, SnapshotSpace, build_offline,
                      build_online, count_unbounded, assemble_a_form,
@@ -36,6 +36,11 @@ from .spaces import (LocalRegion, ReducedSpace, SnapshotSpace, build_offline,
 BC_LINEAR = BoundaryCondition(lambda x, y: x + y)
 SOURCE = 1.0
 PCG_TOL = 1e-10
+PCG_MAX_IT = 600
+# the two sample contrasts at which detect_mode_counts compares spectra
+ETA_HI, ETA_LO = 1e4, 1e2
+# stopping rule of the fine-grid Picard reference
+REF_TOL, REF_MAX_IT = 1e-12, 50
 
 
 def config_hash(cfg: dict) -> str:
@@ -44,6 +49,9 @@ def config_hash(cfg: dict) -> str:
 
 
 def write_csv(path, header: list, rows: list) -> None:
+    """Write header and rows to path; without a path, write nothing."""
+    if not path:
+        return
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(header)
@@ -87,71 +95,100 @@ def run_convergence_study(fine_n: int = 100, coarse_n: int = 10,
     fine = build_fine_mesh(fine_n, fine_n)
     coarse = build_coarse_mesh(fine, coarse_n, coarse_n)
     kappa = channels_and_inclusions(fine, eta)
-    pou = multiscale_pou(coarse, kappa)
     if base_count is None:
-        counts = detect_mode_counts(coarse, lambda e: channels_and_inclusions(fine, e),
-                                    1e4, 1e2, workers=workers)
+        counts = detect_mode_counts(
+            coarse, lambda e: channels_and_inclusions(fine, e), workers=workers)
     else:
         counts = {i: base_count for i in range(coarse.N_v)}
-    u_ref, A_k, M_k = solve_fine(fine, kappa, SOURCE, BC_LINEAR)
-    top = offline_spaces(coarse, kappa, snapshot_kind, pou=pou,
-                         count=max(counts.values()) + extra_max, workers=workers)
-    A = assemble_stiffness(fine, kappa)
-    b = assemble_load(fine, SOURCE)
     rows = []
-    for k in range(extra_max + 1):
+    for k, (basis, err) in enumerate(_ladder(coarse, kappa, counts, extra_max,
+                                             snapshot_kind, workers)):
+        e, l2 = err.as_percent()
+        rows.append([snapshot_kind, f"+{k}", basis.dim,
+                     _fmt(basis.lambda_star()), _fmt(e), _fmt(l2), h])
+    write_csv(out, ["variant", "step", "dim", "lambda_star",
+                    "energy_pct", "l2w_pct", "config"], rows)
+    return rows
+
+
+def _ladder(coarse, kappa, counts: dict, extra: int, snapshot_kind: str,
+            workers: int) -> list:
+    """Galerkin enrichment ladder: (basis, errors) for k = 0..extra.
+
+    Step k keeps counts[i] + k offline modes at node i (at most all of
+    them); the errors are against the fine reference solve.
+    """
+    fine = coarse.fine
+    pou = multiscale_pou(coarse, kappa)
+    u_ref, A, M = solve_fine(fine, kappa, SOURCE, BC_LINEAR)
+    top = offline_spaces(coarse, kappa, snapshot_kind, pou=pou,
+                         count=max(counts.values()) + extra, workers=workers)
+    b = assemble_load(fine, SOURCE)
+    out = []
+    for k in range(extra + 1):
         spaces = {i: truncate(s, min(counts[i] + k, s.dim))
                   for i, s in top.items()}
         basis = build_coarse_basis(coarse, pou, spaces)
         sol = solve_coarse_galerkin(fine, A, b, BC_LINEAR, basis)
-        err = relative_errors(sol.u, u_ref, A_k, M_k)
-        e, l2 = err.as_percent()
-        rows.append([snapshot_kind, f"+{k}", basis.dim,
-                     _fmt(basis.lambda_star()), _fmt(e), _fmt(l2), h])
-    if out:
-        write_csv(out, ["variant", "step", "dim", "lambda_star",
-                        "energy_pct", "l2w_pct", "config"], rows)
-    return rows
+        out.append((basis, relative_errors(sol.u, u_ref, A, M)))
+    return out
 
 
 # ---------------------------------------------------------------------------
 # two-level preconditioner robustness
 
-def _two_level_report(fine, coarse, kappa, basis, delta_layers, max_it=600):
-    A = assemble_stiffness(fine, kappa)
-    b = assemble_load(fine, SOURCE)
-    A_ff, b_f, fr, _ = reduce_dirichlet(A, b, fine, BC_LINEAR)
-    pos = np.full(fine.n_nodes, -1, dtype=np.int64)
-    pos[fr] = np.arange(len(fr))
+def _precond_rows(coarse, field_at, etas, counts: dict, extra: int,
+                  delta_layers: int, workers: int, h: str) -> list:
+    """PCG rows of the two-level preconditioner, POU-only then spectral.
+
+    The spectral coarse space keeps counts[i] + extra modes at node i.
+    """
+    fine = coarse.fine
     ov = build_overlap(coarse, delta_layers)
-    subs = []
-    for ints in ov.interior_nodes:
-        idx = pos[ints]
-        subs.append(idx[idx >= 0])
-    M = build_two_level(A_ff, basis.P[fr].tocsr(), subs)
-    _, rep = pcg(A_ff, b_f, M_inv=M, tol=PCG_TOL, max_it=max_it)
-    return rep
+    rows = []
+    for eta in etas:
+        kappa = field_at(eta)
+        pou = multiscale_pou(coarse, kappa)
+        A = assemble_stiffness(fine, kappa)
+        A_ff, b_f, fr, _ = reduce_dirichlet(A, assemble_load(fine, SOURCE),
+                                            fine, BC_LINEAR)
+        pos = np.full(fine.n_nodes, -1, dtype=np.int64)
+        pos[fr] = np.arange(len(fr))
+        subs = [pos[ints][pos[ints] >= 0] for ints in ov.interior_nodes]
+        full = offline_spaces(coarse, kappa, "fine", pou=pou,
+                              count=max(counts.values()) + extra,
+                              workers=workers)
+        spectral = {i: truncate(s, min(counts[i] + extra, s.dim))
+                    for i, s in full.items()}
+        for variant, spaces in (("pou", _pou_only_spaces(coarse)),
+                                ("spectral", spectral)):
+            basis = build_coarse_basis(coarse, pou, spaces)
+            M = build_two_level(A_ff, basis.P[fr].tocsr(), subs)
+            _, rep = pcg(A_ff, b_f, M_inv=M, tol=PCG_TOL, max_it=PCG_MAX_IT)
+            rows.append([variant, _fmt(float(eta)), basis.dim, rep.iterations,
+                         _fmt(rep.condition_estimate), int(rep.converged), h])
+    return rows
 
 
-def detect_mode_counts(coarse, field_at, eta_hi: float, eta_lo: float,
-                       workers: int = 1) -> dict:
+def detect_mode_counts(coarse, field_at, workers: int = 1) -> dict:
     """Per-node count of contrast-unbounded modes from two sample contrasts.
 
     field_at(eta) yields the coefficient at a given contrast; a mode counts
-    as unbounded when its eigenvalue grows faster than sqrt(eta_hi/eta_lo).
+    as unbounded when its eigenvalue grows faster than sqrt(ETA_HI/ETA_LO)
+    between ETA_LO and ETA_HI.
     """
-    growth = float(np.sqrt(eta_hi / eta_lo))
+    growth = float(np.sqrt(ETA_HI / ETA_LO))
     spectra = {}
-    for eta in (eta_hi, eta_lo):
+    for eta in (ETA_HI, ETA_LO):
         kappa = field_at(eta)
         spaces = offline_spaces(coarse, kappa, "fine",
                                 pou=multiscale_pou(coarse, kappa),
                                 workers=workers)
         spectra[eta] = {i: s.eigenvalues for i, s in spaces.items()}
     counts = {}
-    for i in spectra[eta_hi]:
-        counts[i] = max(1, count_unbounded(spectra[eta_hi][i],
-                                           spectra[eta_lo][i], growth))
+    for i in spectra[ETA_HI]:
+        counts[i] = max(1, count_unbounded(spectra[ETA_HI][i],
+                                           spectra[ETA_LO][i], growth))
     return counts
 
 
@@ -170,27 +207,11 @@ def run_precond_study(fine_n: int = 100, coarse_n: int = 10,
     fine = build_fine_mesh(fine_n, fine_n)
     coarse = build_coarse_mesh(fine, coarse_n, coarse_n)
     field_at = lambda e: channels_and_inclusions(fine, e)
-    counts = detect_mode_counts(coarse, field_at, 1e4, 1e2, workers=workers)
-    rows = []
-    for eta in etas:
-        kappa = field_at(eta)
-        pou = multiscale_pou(coarse, kappa)
-        for variant in ("pou", "spectral"):
-            if variant == "pou":
-                spaces = _pou_only_spaces(coarse)
-            else:
-                full = offline_spaces(coarse, kappa, "fine", pou=pou,
-                                      count=max(counts.values()),
-                                      workers=workers)
-                spaces = {i: truncate(s, min(counts[i], s.dim))
-                          for i, s in full.items()}
-            basis = build_coarse_basis(coarse, pou, spaces)
-            rep = _two_level_report(fine, coarse, kappa, basis, delta_layers)
-            rows.append([variant, _fmt(float(eta)), basis.dim, rep.iterations,
-                         _fmt(rep.condition_estimate), int(rep.converged), h])
-    if out:
-        write_csv(out, ["variant", "eta", "dim", "iterations",
-                        "condition", "converged", "config"], rows)
+    counts = detect_mode_counts(coarse, field_at, workers=workers)
+    rows = _precond_rows(coarse, field_at, etas, counts, 0, delta_layers,
+                         workers, h)
+    write_csv(out, ["variant", "eta", "dim", "iterations",
+                    "condition", "converged", "config"], rows)
     return rows
 
 
@@ -228,7 +249,6 @@ def run_parametric_study(fine_n: int = 100, coarse_n: int = 10,
     k_star = evaluate(aff, mu_star)
     k_samples = [evaluate(aff, aff.parameter(m)) for m in PARAM_SAMPLES]
     u_ref, A_k, M_k = solve_fine(fine, k_star, SOURCE, BC_LINEAR)
-    A_star = assemble_stiffness(fine, k_star)
     b = assemble_load(fine, SOURCE)
     # the online forms at k_star depend on neither n_rb nor the step
     star_forms = local_forms(fine, k_star, "kappa_mass")
@@ -248,14 +268,13 @@ def run_parametric_study(fine_n: int = 100, coarse_n: int = 10,
             spaces = {i: build_online(off, *star[i], count=min(L, off.dim))
                       for i, off in offline.items()}
             basis = build_coarse_basis(coarse, pou, spaces)
-            sol = solve_coarse_galerkin(fine, A_star, b, BC_LINEAR, basis)
+            sol = solve_coarse_galerkin(fine, A_k, b, BC_LINEAR, basis)
             err = relative_errors(sol.u, u_ref, A_k, M_k)
             e, l2 = err.as_percent()
             rows.append([n_rb, f"+{k}", basis.dim, _fmt(basis.lambda_star()),
                          _fmt(e), _fmt(l2), h])
-    if out:
-        write_csv(out, ["n_rb", "step", "dim", "lambda_star",
-                        "energy_pct", "l2w_pct", "config"], rows)
+    write_csv(out, ["n_rb", "step", "dim", "lambda_star",
+                    "energy_pct", "l2w_pct", "config"], rows)
     return rows
 
 
@@ -287,44 +306,17 @@ def run_anisotropic_study(fine_n: int = 100, coarse_n: int = 10,
         k11 = CoefficientField((1.0 - mu) * k0.values + mu * k1.values)
         return anisotropic_from_scalar(k11)
 
-    counts = detect_mode_counts(coarse, field_at, 1e4, 1e2, workers=workers)
-    rows = []
-    for eta in etas:
-        kappa = field_at(eta)
-        pou = multiscale_pou(coarse, kappa)
-        for variant in ("pou", "spectral"):
-            if variant == "pou":
-                spaces = _pou_only_spaces(coarse)
-            else:
-                full = offline_spaces(coarse, kappa, "fine", pou=pou,
-                                      count=max(counts.values()) + spectral_extra,
-                                      workers=workers)
-                spaces = {i: truncate(s, min(counts[i] + spectral_extra, s.dim))
-                          for i, s in full.items()}
-            basis = build_coarse_basis(coarse, pou, spaces)
-            rep = _two_level_report(fine, coarse, kappa, basis, delta_layers)
-            rows.append([variant, _fmt(float(eta)), basis.dim, rep.iterations,
-                         _fmt(rep.condition_estimate), int(rep.converged), h])
+    counts = detect_mode_counts(coarse, field_at, workers=workers)
+    rows = _precond_rows(coarse, field_at, etas, counts, spectral_extra,
+                         delta_layers, workers, h)
     # enrichment ladder of Galerkin errors at the first contrast
     eta0 = etas[0]
-    kappa = field_at(eta0)
-    pou = multiscale_pou(coarse, kappa)
-    u_ref, A_k, M_k = solve_fine(fine, kappa, SOURCE, BC_LINEAR)
-    top = offline_spaces(coarse, kappa, "fine", pou=pou,
-                         count=max(counts.values()) + 2, workers=workers)
-    A = assemble_stiffness(fine, kappa)
-    b = assemble_load(fine, SOURCE)
-    for k in range(3):
-        spaces = {i: truncate(s, min(counts[i] + k, s.dim))
-                  for i, s in top.items()}
-        basis = build_coarse_basis(coarse, pou, spaces)
-        sol = solve_coarse_galerkin(fine, A, b, BC_LINEAR, basis)
-        err = relative_errors(sol.u, u_ref, A_k, M_k)
+    for k, (basis, err) in enumerate(_ladder(coarse, field_at(eta0), counts,
+                                             2, "fine", workers)):
         rows.append([f"galerkin+{k}", _fmt(float(eta0)), basis.dim, 0,
                      _fmt(100.0 * err.energy_sq), 1, h])
-    if out:
-        write_csv(out, ["variant", "eta", "dim", "iterations",
-                        "condition_or_error", "converged", "config"], rows)
+    write_csv(out, ["variant", "eta", "dim", "iterations",
+                    "condition_or_error", "converged", "config"], rows)
     return rows
 
 
@@ -347,7 +339,6 @@ def run_eigendecay_study(fine_n: int = 40, inclusion_value: float = 100.0,
     fine = build_fine_mesh(fine_n, fine_n)
     coarse = build_coarse_mesh(fine, 5, 5)  # the target is one coarse block
     kappa = centered_inclusion(fine, inclusion_value)
-    from .coeff import cell_box_from_coords
     target = LocalRegion.from_cell_box(
         fine, cell_box_from_coords(fine, 0.4, 0.6, 0.4, 0.6))
     ext = LocalRegion.from_cell_box(
@@ -411,38 +402,35 @@ def run_eigendecay_study(fine_n: int = 40, inclusion_value: float = 100.0,
         ratio = lam10 / lam1 if lam1 > 0 else 0.0
         rows.append([name, cols.shape[1], n_inf, _fmt(lam1), _fmt(lam10),
                      _fmt(ratio), h])
-    if out:
-        write_csv(out, ["pair", "n_snapshots", "n_inf", "lambda_1",
-                        "lambda_10", "ratio", "config"], rows)
+    write_csv(out, ["pair", "n_snapshots", "n_inf", "lambda_1",
+                    "lambda_10", "ratio", "config"], rows)
     return rows
 
 
 # ---------------------------------------------------------------------------
 # nonlinear fixed-point solver
 
-def fine_picard_reference(fine, nl: NonlinearCoefficient, f, bc,
-                          tol: float = 1e-12, max_it: int = 50) -> np.ndarray:
+def _cell_values(fine, u: np.ndarray) -> np.ndarray:
+    """Average of each fine cell's four corner nodes."""
+    nxp = fine.nx + 1
+    idx = np.arange(fine.n_cells)
+    a = (idx // fine.nx) * nxp + (idx % fine.nx)
+    return 0.25 * (u[a] + u[a + 1] + u[a + nxp] + u[a + nxp + 1])
+
+
+def fine_picard_reference(fine, nl: NonlinearCoefficient, f, bc) -> np.ndarray:
     """Fine-grid Picard iteration with the exponent frozen per cell."""
-
-    def cell_values(u):
-        # average of the cell's four corner nodes
-        nxp = fine.nx + 1
-        idx = np.arange(fine.n_cells)
-        ci, cj = idx % fine.nx, idx // fine.nx
-        a = cj * nxp + ci
-        return 0.25 * (u[a] + u[a + 1] + u[a + nxp] + u[a + nxp + 1])
-
     b = assemble_load(fine, f)
     u = np.zeros(fine.n_nodes)
-    for _ in range(max_it):
-        kappa = nl.at_value(cell_values(u))
+    for _ in range(REF_MAX_IT):
+        kappa = nl.at_value(_cell_values(fine, u))
         A = assemble_stiffness(fine, kappa)
         A_ff, b_f, fr, lift = reduce_dirichlet(A, b, fine, bc)
         u_new = lift.copy()
         u_new[fr] = lift[fr] + SparseFactor(A_ff).solve(b_f)
         d = np.linalg.norm(u_new - u) / max(np.linalg.norm(u_new), 1e-300)
         u = u_new
-        if d <= tol:
+        if d <= REF_TOL:
             break
     return u
 
@@ -474,11 +462,7 @@ def run_nonlinear_study(fine_n: int = 80, coarse_n: int = 8,
     samples = np.linspace(u_range[0], u_range[1], n_samples)
     u_ref = fine_picard_reference(fine, nl, SOURCE, BC_LINEAR)
     # error norms weighted by the converged reference conductivity
-    nxp = fine.nx + 1
-    idx = np.arange(fine.n_cells)
-    a = (idx // fine.nx) * nxp + (idx % fine.nx)
-    ref_cells = 0.25 * (u_ref[a] + u_ref[a + 1] + u_ref[a + nxp] + u_ref[a + nxp + 1])
-    k_ref = nl.at_value(ref_cells)
+    k_ref = nl.at_value(_cell_values(fine, u_ref))
     A_k = assemble_stiffness(fine, k_ref)
     M_k = assemble_mass(fine, weight=k_ref)
     mid = 0.5 * (u_range[0] + u_range[1])
@@ -493,8 +477,6 @@ def run_nonlinear_study(fine_n: int = 80, coarse_n: int = 8,
         e, l2 = err.as_percent()
         rows.append([L, state.dims, int(state.converged), state.iterations,
                      _fmt(state.lambda_star), _fmt(e), _fmt(l2), h])
-    if out:
-        write_csv(out, ["offline_count", "dim", "converged", "iterations",
-                        "lambda_star", "energy_pct", "l2w_pct", "config"],
-                  rows)
+    write_csv(out, ["offline_count", "dim", "converged", "iterations",
+                    "lambda_star", "energy_pct", "l2w_pct", "config"], rows)
     return rows

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from gmsfem.cli import main
+from gmsfem.cli import _STUDIES, _study_config, main
 from gmsfem.coeff import read_field
 
 
@@ -173,6 +173,45 @@ def test_self_test(capsys):
 def test_study_rejects_unknown_keys(tmp_path):
     cfg = _cfg(tmp_path, {"fine_n": 20, "coarse_n": 4, "mystery": 1})
     assert main(["--config", cfg, "study-convergence"]) == 2
+
+
+SMALL = {"fine_n": 20, "coarse_n": 4}
+
+
+@pytest.mark.parametrize("command,cfg", [
+    ("study-eigendecay", {"fine_n": 0}),
+    ("study-eigendecay", {"fine_n": 20, "inclusion_value": "x"}),
+    ("study-eigendecay", {"fine_n": 21}),
+    ("study-convergence", {"fine_n": 20, "coarse_n": 3}),
+    ("study-convergence", dict(SMALL, eta=0.5)),
+    ("study-convergence", dict(SMALL, extra_max=-1)),
+    ("study-convergence", dict(SMALL, base_count=0)),
+    ("study-convergence", dict(SMALL, snapshot_kind="random")),
+    ("study-convergence", dict(SMALL, workers=2)),
+    ("study-precond", dict(SMALL, etas="1e3")),
+    ("study-precond", dict(SMALL, etas=[])),
+    ("study-parametric", dict(SMALL, n_rb_values=[5])),
+    ("study-anisotropic", dict(SMALL, mu=2.0)),
+    ("study-nonlinear", dict(SMALL, offline_counts=[0])),
+    ("study-nonlinear", dict(SMALL, u_range=[1.0])),
+])
+def test_bad_study_value_is_config_error(tmp_path, capsys, command, cfg):
+    assert main(["--config", _cfg(tmp_path, cfg), command]) == 2
+    assert capsys.readouterr().err.count("\n") == 1  # one line, no traceback
+
+
+@pytest.mark.parametrize("command,cfg", [
+    ("study-convergence", {"fine_n": 24, "coarse_n": 4, "extra_max": 4,
+                           "eta": 3.7e4, "snapshot_kind": "fine"}),
+    ("study-convergence", {"fine_n": 20, "coarse_n": 4, "extra_max": 4,
+                           "eta": 3.7e4}),
+    ("study-nonlinear", {"fine_n": 30, "coarse_n": 3, "n_samples": 4,
+                         "offline_counts": [3, 8], "eta": 2e3}),
+    ("study-nonlinear", {"fine_n": 20, "coarse_n": 4, "n_samples": 2,
+                         "offline_counts": [3, 5], "eta": 2e3}),
+])
+def test_benchmark_study_configs_are_valid(tmp_path, command, cfg):
+    assert _study_config(_cfg(tmp_path, cfg), _STUDIES[command]) == cfg
 
 
 def test_study_runs_and_writes_csv(tmp_path, capsys):

@@ -8,7 +8,7 @@ import pytest
 from gmsfem.coeff import evaluate
 from gmsfem.coupling import (build_affine_operator, build_coarse_basis,
                              coarse_dirichlet_lift, solve_coarse_galerkin,
-                             solve_fine, solve_multiscale)
+                             solve_fine)
 from gmsfem.fem import (BoundaryCondition, assemble_load, assemble_stiffness,
                         free_nodes, relative_errors)
 from gmsfem.fields import affine_four_term, channels_and_inclusions
@@ -90,17 +90,6 @@ def test_galerkin_energy_optimality(setup):
         u_pert[fr] += basis.P[fr] @ dc
         d = u_pert - u_ref
         assert float(d @ (A_k @ d)) >= e0
-
-
-def test_solve_multiscale_wrapper(setup):
-    fine, coarse, kappa, pou = setup
-    spaces = offline_spaces(coarse, kappa, pou=pou, count=2)
-    basis = build_coarse_basis(coarse, pou, spaces)
-    A = assemble_stiffness(fine, kappa)
-    b = assemble_load(fine, 1.0)
-    a = solve_multiscale(fine, kappa, 1.0, BC, basis)
-    g = solve_coarse_galerkin(fine, A, b, BC, basis)
-    assert np.array_equal(a.u, g.u)
 
 
 def test_affine_operator_matches_direct_assembly(setup):

@@ -1,4 +1,5 @@
-"""Every name a library module imports is used in that module.
+"""Every name a library module imports is used in that module, and no
+function imports from a module the file already imports at top level.
 
 There is no linter in the toolchain, so this stdlib-only scan is the
 check.  The package's __init__ only re-exports, so it is skipped.
@@ -26,6 +27,27 @@ def unused_imports(source: str) -> list:
     return sorted(imported - used)
 
 
+def _sources(node) -> list:
+    """The modules an import statement reads from, as written."""
+    if isinstance(node, ast.ImportFrom):
+        return ["." * node.level + (node.module or "")]
+    return [a.name for a in node.names]
+
+
+def late_imports(source: str) -> list:
+    """Modules imported inside a function and also at top level."""
+    tree = ast.parse(source)
+    imports = (ast.Import, ast.ImportFrom)
+    top = {m for node in tree.body if isinstance(node, imports)
+           for m in _sources(node)}
+    late = []
+    for fn in ast.walk(tree):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            late += [m for node in ast.walk(fn) if isinstance(node, imports)
+                     for m in _sources(node) if m in top]
+    return sorted(late)
+
+
 def test_scan_finds_an_unused_import():
     assert unused_imports("import os\nimport sys\nsys.exit()\n") == ["os"]
     assert unused_imports("from a import b as c\nc()\n") == []
@@ -34,3 +56,14 @@ def test_scan_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_scan_finds_a_late_import():
+    src = ("import os\nfrom .a import b\n"
+           "def f():\n    import os\n    from .a import c\n    from .d import e\n")
+    assert late_imports(src) == [".a", "os"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_late_imports(path):
+    assert late_imports(path.read_text()) == []

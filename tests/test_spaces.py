@@ -222,6 +222,13 @@ def test_offline_spaces_spectral_union_matches_the_hand_written_loop(
             assert np.array_equal(spaces[i].eigenvalues, want.eigenvalues)
 
 
+@pytest.mark.parametrize("count", [0, -2])
+def test_offline_spaces_reject_counts_below_one(setup, count):
+    _, coarse, kappa, pou, _ = setup
+    with pytest.raises(ValueError, match="count must be >= 1"):
+        offline_spaces(coarse, kappa, "fine", pou=pou, count=count)
+
+
 def test_count_unbounded_handcrafted():
     inf = np.inf
     hi = np.array([inf, 200.0, 30.0, 5.0])

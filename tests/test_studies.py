@@ -36,8 +36,7 @@ def test_fmt_and_write_csv(tmp_path):
 def test_detect_mode_counts_small():
     fine = build_fine_mesh(20, 20)
     coarse = build_coarse_mesh(fine, 4, 4)
-    counts = detect_mode_counts(coarse, lambda e: channels_and_inclusions(fine, e),
-                                1e4, 1e2)
+    counts = detect_mode_counts(coarse, lambda e: channels_and_inclusions(fine, e))
     assert set(counts) == set(range(coarse.N_v))
     assert min(counts.values()) >= 1
     assert max(counts.values()) < 30
