@@ -22,7 +22,7 @@ from .pou import bilinear_pou, energy_min_pou, multiscale_pou
 from .solvers import NumericalError
 from .spaces import (A_FORMS, LocalRegion, build_online, local_forms,
                      offline_spaces, parallel_map, snapshot_space)
-from .studies import (PARAM_SAMPLES, run_anisotropic_study,
+from .studies import (PARAM_SAMPLES, eigendecay_sources, run_anisotropic_study,
                       run_convergence_study, run_eigendecay_study,
                       run_nonlinear_study, run_parametric_study,
                       run_precond_study)
@@ -303,6 +303,12 @@ def _study_config(path, runner) -> dict:
     fine_n, coarse_n = vals["fine_n"], vals.get("coarse_n", 5)
     if fine_n % coarse_n:
         raise ConfigError(f"coarse_n {coarse_n} must divide fine_n {fine_n}")
+    if runner is run_eigendecay_study:
+        try:
+            eigendecay_sources(build_fine_mesh(fine_n, fine_n),
+                               vals["source_spacing"])
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
     if vals.get("mu", 0) > 1:
         raise ConfigError(f"mu must be <= 1, not {vals['mu']}")
     if "u_range" in cfg and len(cfg["u_range"]) != 2:

@@ -67,7 +67,7 @@ def build_coarse_basis(coarse: CoarseMesh, pou, spaces: dict) -> CoarseBasis:
     for i in sorted(spaces):
         space = spaces[i]
         nb_nodes = space.region.nodes
-        chi = pou.chi[i][nb_nodes]
+        chi = pou.at(i, nb_nodes)
         keep = ~bnd_mask[nb_nodes]
         for j in range(space.dim):
             v = chi * space.columns[:, j]
@@ -103,7 +103,7 @@ def coarse_dirichlet_lift(basis: CoarseBasis, bc: BoundaryCondition) -> np.ndarr
             continue
         fid = coarse.coarse_node_fine_ids[i]
         g_i = bc.values(fine, np.array([fid]))[0]
-        lift += g_i * pou.chi[i]
+        lift[coarse.neighborhoods[i].nodes] += g_i * pou.local[i]
     lift[fine.boundary_nodes] = bc.values(fine, fine.boundary_nodes)
     return lift
 

@@ -105,18 +105,17 @@ def assemble_mass(mesh: FineMesh, weight=None,
                   triangle_weight=None) -> sp.csr_matrix:
     """Weighted mass matrix; weight is a CoefficientField or per-cell array.
 
-    triangle_weight overrides with one value per triangle (used for weights
-    built from POU gradients, which are constant per triangle, not per cell).
+    triangle_weight overrides with one value per selected triangle, in
+    _cells_to_triangles(cells) order (used for weights built from POU
+    gradients, which are constant per triangle, not per cell).
     """
     tris = _cells_to_triangles(np.asarray(cells, dtype=np.int64)) if cells is not None \
         else np.arange(2 * mesh.n_cells)
     _, _, area = _triangle_geometry(mesh, tris)
     if triangle_weight is not None:
         w = np.asarray(triangle_weight, dtype=float)
-        if len(w) == 2 * mesh.n_cells:
-            w = w[tris]
-        elif len(w) != len(tris):
-            raise ValueError("triangle_weight must cover all or the selected triangles")
+        if len(w) != len(tris):
+            raise ValueError("triangle_weight needs one value per selected triangle")
     else:
         if weight is None:
             wc = np.ones(mesh.n_cells)

@@ -81,6 +81,14 @@ class FineMesh:
             return np.empty(0, dtype=np.int64)
         return _box_nodes(self.nx, ix0, ix1, iy0, iy1)
 
+    def box_position(self, cell_box: tuple, nodes: np.ndarray) -> np.ndarray:
+        """Index of each node in nodes_in_cell_box(*cell_box), -1 outside it."""
+        cx0, cx1, cy0, cy1 = cell_box
+        i = nodes % (self.nx + 1)
+        j = nodes // (self.nx + 1)
+        inside = (i >= cx0) & (i <= cx1) & (j >= cy0) & (j <= cy1)
+        return np.where(inside, (j - cy0) * (cx1 - cx0 + 1) + (i - cx0), -1)
+
 
 def build_fine_mesh(nx: int, ny: int) -> FineMesh:
     """Triangulate [0,1]^2 with nx*ny squares, two triangles each."""
@@ -158,6 +166,15 @@ class CoarseMesh:
         """Node-index box (ix0, ix1, iy0, iy1) of coarse cell K (row-major)."""
         bi, bj = K % self.Nx, K // self.Nx
         return (bi * self.mx, (bi + 1) * self.mx, bj * self.my, (bj + 1) * self.my)
+
+    def nodes_meeting(self, cell_box: tuple) -> list:
+        """Coarse nodes, ascending, whose neighborhood shares a fine node
+        with the closed node box of cell_box."""
+        cx0, cx1, cy0, cy1 = cell_box
+        # omega_I spans fine node columns max(I-1, 0)*mx .. min(I+1, Nx)*mx
+        xs = range(max(-(-cx0 // self.mx) - 1, 0), min(cx1 // self.mx + 1, self.Nx) + 1)
+        ys = range(max(-(-cy0 // self.my) - 1, 0), min(cy1 // self.my + 1, self.Ny) + 1)
+        return [self.coarse_node_id(I, J) for J in ys for I in xs]
 
 
 def _neighborhood_box(cm: CoarseMesh, I: int, J: int) -> tuple:

@@ -8,7 +8,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coeff import CoefficientField
-from .fem import _triangle_geometry, assemble_mass, assemble_stiffness
+from .fem import (_cells_to_triangles, _triangle_geometry, assemble_mass,
+                  assemble_stiffness)
 from .mesh import CoarseMesh
 from .solvers import NumericalError, SparseFactor, pcg
 
@@ -18,50 +19,73 @@ MULTIPLIER_TOL = 1e-10
 
 @dataclass
 class PartitionOfUnity:
-    """chi_i vectors on fine nodes, one per coarse node, summing to one."""
+    """chi_i per coarse node, stored on its neighborhood omega_i only.
+
+    local[i] holds chi_i at coarse.neighborhoods[i].nodes; chi_i is zero at
+    every other fine node, and the functions sum to one at every node.
+    """
 
     kind: str
     coarse: CoarseMesh
-    chi: np.ndarray  # (N_v, n_fine_nodes), hard zeros outside omega_i
+    local: list  # local[i] aligned with coarse.neighborhoods[i].nodes
+
+    def at(self, i: int, nodes: np.ndarray) -> np.ndarray:
+        """chi_i at the given fine nodes (any shape), zero outside omega_i."""
+        pos = self.coarse.fine.box_position(self.coarse.neighborhoods[i].cell_box,
+                                            np.asarray(nodes))
+        return np.append(self.local[i], 0.0)[pos]
+
+    def dense(self, i: int) -> np.ndarray:
+        """chi_i as a vector over all fine nodes."""
+        out = np.zeros(self.coarse.fine.n_nodes)
+        out[self.coarse.neighborhoods[i].nodes] = self.local[i]
+        return out
 
     def sum_defect(self) -> float:
-        return float(np.abs(self.chi.sum(axis=0) - 1.0).max())
+        return float(np.abs(_nodal_sum(self.coarse, self.local) - 1.0).max())
 
     def energy(self, kappa: CoefficientField) -> float:
         """Total energy functional sum_i int kappa |grad chi_i|^2."""
         A = assemble_stiffness(self.coarse.fine, kappa)
-        return float(sum(self.chi[i] @ (A @ self.chi[i]) for i in range(len(self.chi))))
+        return float(sum(c @ (A @ c) for c in map(self.dense, range(self.coarse.N_v))))
 
 
-def _normalized(kind: str, coarse: CoarseMesh, chi: np.ndarray) -> PartitionOfUnity:
+def _nodal_sum(coarse: CoarseMesh, local: list) -> np.ndarray:
+    # ascending i from 0.0: the same bits as summing the dense rows
+    s = np.zeros(coarse.fine.n_nodes)
+    for nb, v in zip(coarse.neighborhoods, local):
+        s[nb.nodes] += v
+    return s
+
+
+def _normalized(kind: str, coarse: CoarseMesh, local: list) -> PartitionOfUnity:
     # divide by the nodal sum so the partition identity holds to rounding
-    s = chi.sum(axis=0)
+    s = _nodal_sum(coarse, local)
     if np.any(s <= 0.0):
         raise NumericalError(f"{kind} POU sum vanishes at a fine node")
-    chi = chi / s
-    return PartitionOfUnity(kind=kind, coarse=coarse, chi=chi)
+    local = [v / s[nb.nodes] for nb, v in zip(coarse.neighborhoods, local)]
+    return PartitionOfUnity(kind=kind, coarse=coarse, local=local)
 
 
 def bilinear_pou(coarse: CoarseMesh) -> PartitionOfUnity:
     """Tensor-product hat per coarse node, evaluated at fine nodes."""
     fine = coarse.fine
-    x = fine.node_coords[:, 0]
-    y = fine.node_coords[:, 1]
     Hx, Hy = 1.0 / coarse.Nx, 1.0 / coarse.Ny
-    chi = np.zeros((coarse.N_v, fine.n_nodes))
-    for i in range(coarse.N_v):
+    local = []
+    for i, nb in enumerate(coarse.neighborhoods):
         I, J = coarse.coarse_node_ij(i)
+        x, y = fine.node_coords[nb.nodes].T
         hx = np.maximum(0.0, 1.0 - np.abs(x - I * Hx) / Hx)
         hy = np.maximum(0.0, 1.0 - np.abs(y - J * Hy) / Hy)
-        chi[i] = hx * hy
-    return _normalized("bilinear", coarse, chi)
+        local.append(hx * hy)
+    return _normalized("bilinear", coarse, local)
 
 
 def multiscale_pou(coarse: CoarseMesh, kappa: CoefficientField) -> PartitionOfUnity:
     """kappa-harmonic extension of the bilinear traces inside every coarse cell."""
     fine = coarse.fine
     hats = bilinear_pou(coarse)
-    chi = np.zeros((coarse.N_v, fine.n_nodes))
+    local = [np.zeros(nb.n_nodes) for nb in coarse.neighborhoods]
     for K in range(coarse.n_blocks):
         box = coarse.block_node_box(K)
         nodes = fine.nodes_in_cell_box(*box)
@@ -78,11 +102,12 @@ def multiscale_pou(coarse: CoarseMesh, kappa: CoefficientField) -> PartitionOfUn
                    for dj in (0, 1) for di in (0, 1)]
         Ab = A[li][:, lb]
         for c in corners:
-            g = hats.chi[c][bnd]
-            chi[c, bnd] = g
+            nb_box = coarse.neighborhoods[c].cell_box
+            g = hats.at(c, bnd)
+            local[c][fine.box_position(nb_box, bnd)] = g
             if len(li):
-                chi[c, interior] = lu.solve(-(Ab @ g))
-    return _normalized("multiscale", coarse, chi)
+                local[c][fine.box_position(nb_box, interior)] = lu.solve(-(Ab @ g))
+    return _normalized("multiscale", coarse, local)
 
 
 def energy_min_pou(coarse: CoarseMesh, kappa: CoefficientField) -> PartitionOfUnity:
@@ -123,24 +148,37 @@ def energy_min_pou(coarse: CoarseMesh, kappa: CoefficientField) -> PartitionOfUn
         raise NumericalError(
             f"energy-minimizing multiplier CG stalled at residual {report.residuals[-1]:.3e}"
         )
-    chi = np.zeros((coarse.N_v, n))
-    for i, (fn, f) in enumerate(zip(free_sets, factors)):
-        chi[i, fn] = f.solve(p[fn])
-    return _normalized("energy-minimizing", coarse, chi)
+    local = []
+    for nb, fn, f in zip(coarse.neighborhoods, free_sets, factors):
+        v = np.zeros(nb.n_nodes)
+        v[fine.box_position(nb.cell_box, fn)] = f.solve(p[fn])
+        local.append(v)
+    return _normalized("energy-minimizing", coarse, local)
 
 
-def pou_gradient_weight(pou: PartitionOfUnity, kappa: CoefficientField) -> np.ndarray:
-    """Per-triangle weight sum_k kappa |grad chi_k|^2 (piecewise constant)."""
+def pou_gradient_weight(pou: PartitionOfUnity, kappa: CoefficientField,
+                        cells: np.ndarray) -> np.ndarray:
+    """Weight sum_k kappa |grad chi_k|^2 on the triangles of the given cells.
+
+    One value per triangle, in the order of fem._cells_to_triangles(cells).
+    Only the chi_k whose neighborhood touches the cells are read, and each
+    triangle sums them in ascending k from 0.0, so a triangle's weight has
+    the same bits whichever cells are asked for.
+    """
     fine = pou.coarse.fine
-    tris = np.arange(2 * fine.n_cells)
+    cells = np.asarray(cells, dtype=np.int64)
+    tris = _cells_to_triangles(cells)
     b, c, area = _triangle_geometry(fine, tris)
-    conn = fine.triangles
+    conn = fine.triangles[tris]
     inv2a = 1.0 / (2.0 * area)
     k1 = kappa.k11()[tris // 2]
     k2 = kappa.k22()[tris // 2]
+    ci, cj = cells % fine.nx, cells // fine.nx
     total = np.zeros(len(tris))
-    for i in range(pou.coarse.N_v):
-        vals = pou.chi[i][conn]  # (T, 3)
+    for k in pou.coarse.nodes_meeting((ci.min(), ci.max() + 1, cj.min(), cj.max() + 1)):
+        vals = pou.at(k, conn)  # (T, 3)
+        if not vals.any():
+            continue
         gx = (vals * b).sum(axis=1) * inv2a
         gy = (vals * c).sum(axis=1) * inv2a
         total += k1 * gx * gx + k2 * gy * gy

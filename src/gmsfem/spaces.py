@@ -134,13 +134,8 @@ def spectral_snapshots(A_t: sp.spmatrix, S_t: sp.spmatrix, count: int,
 
 
 def assemble_a_form(mesh: FineMesh, region: LocalRegion, kappa: CoefficientField,
-                    a_form: str, pou=None, grad_weight=None) -> sp.csr_matrix:
-    """Local a-form matrix on the region's nodes.
-
-    grad_weight is pou_gradient_weight(pou, kappa) for "pou_grad_mass".
-    It is a global per-triangle array, so a loop over regions can compute
-    it once and pass it; without it every call recomputes it.
-    """
+                    a_form: str, pou=None) -> sp.csr_matrix:
+    """Local a-form matrix on the region's nodes."""
     if a_form == "kappa_stiffness":
         return assemble_stiffness(mesh, kappa, restrict_to=region.nodes,
                                   cells=region.cells)
@@ -150,10 +145,9 @@ def assemble_a_form(mesh: FineMesh, region: LocalRegion, kappa: CoefficientField
     if pou is None:
         raise ValueError(f"a_form {a_form!r} needs a partition of unity")
     if a_form == "pou_grad_mass":
-        if grad_weight is None:
-            grad_weight = pou_gradient_weight(pou, kappa)
         return assemble_mass(mesh, restrict_to=region.nodes, cells=region.cells,
-                             triangle_weight=grad_weight)
+                             triangle_weight=pou_gradient_weight(pou, kappa,
+                                                                 region.cells))
     if a_form == "pou_stiffness":
         return _pou_stiffness_form(mesh, region, kappa, pou)
     raise ValueError(f"unknown a_form {a_form!r}")
@@ -164,6 +158,7 @@ def _pou_stiffness_form(mesh, region, kappa, pou) -> sp.csr_matrix:
 
     chi_k psi can be nonzero one cell ring outside the region (psi is
     nonzero on the region boundary), so assembly runs on the padded box.
+    Only the chi_k whose neighborhood meets the region can be nonzero on it.
     """
     cx0, cx1, cy0, cy1 = region.cell_box
     pad = (max(cx0 - 1, 0), min(cx1 + 1, mesh.nx),
@@ -171,16 +166,12 @@ def _pou_stiffness_form(mesh, region, kappa, pou) -> sp.csr_matrix:
     pad_nodes = mesh.nodes_in_cell_box(*pad)
     pad_cells = mesh.cells_in_box(*pad)
     A_pad = assemble_stiffness(mesh, kappa, restrict_to=pad_nodes, cells=pad_cells)
-    lut = np.full(mesh.n_nodes, -1, dtype=np.int64)
-    lut[pad_nodes] = np.arange(len(pad_nodes))
-    r_in_pad = lut[region.nodes]
+    r_in_pad = mesh.box_position(pad, region.nodes)
     total = sp.csr_matrix((len(pad_nodes), len(pad_nodes)))
-    region_set = np.zeros(mesh.n_nodes, dtype=bool)
-    region_set[region.nodes] = True
-    for k in range(pou.coarse.N_v):
-        d = pou.chi[k][pad_nodes]
+    for k in pou.coarse.nodes_meeting(region.cell_box):
         # zero outside the region: psi is only defined there
-        d = np.where(region_set[pad_nodes], d, 0.0)
+        d = np.zeros(len(pad_nodes))
+        d[r_in_pad] = pou.at(k, region.nodes)
         if not np.any(d):
             continue
         D = sp.diags(d)
@@ -309,16 +300,10 @@ def snapshot_space(mesh: FineMesh, region: LocalRegion, kind: str,
 
 def local_forms(mesh: FineMesh, kappa: CoefficientField,
                 a_form: str = "pou_grad_mass", pou=None):
-    """region -> (a_mat, s_mat) for one pass over the regions.
-
-    The POU gradient weight of "pou_grad_mass" is a global per-triangle
-    array, so it is computed here once, not once per region.
-    """
-    grad_weight = (pou_gradient_weight(pou, kappa)
-                   if a_form == "pou_grad_mass" and pou is not None else None)
+    """region -> (a_mat, s_mat) for one pass over the regions."""
 
     def forms(region):
-        return (assemble_a_form(mesh, region, kappa, a_form, pou, grad_weight),
+        return (assemble_a_form(mesh, region, kappa, a_form, pou),
                 assemble_s_form(mesh, region, kappa))
 
     return forms

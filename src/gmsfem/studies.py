@@ -323,6 +323,26 @@ def run_anisotropic_study(fine_n: int = 100, coarse_n: int = 10,
 # ---------------------------------------------------------------------------
 # local eigenvalue decay for three form pairs
 
+# the extended box around the eigendecay target [0.4, 0.6]^2
+EIGENDECAY_EXT = (0.3, 0.7, 0.3, 0.7)
+
+
+def eigendecay_sources(fine, source_spacing: float) -> np.ndarray:
+    """Point-source nodes of the eigendecay study: the free nodes of the
+    lattice with step source_spacing that lie outside the extended box."""
+    step = max(int(round(source_spacing * fine.nx)), 1)
+    nxp = fine.nx + 1
+    n = np.arange(fine.n_nodes)
+    keep = (n % nxp % step == 0) & (n // nxp % step == 0)
+    keep[fine.boundary_nodes] = False
+    ext = cell_box_from_coords(fine, *EIGENDECAY_EXT)
+    keep[fine.nodes_in_cell_box(*ext)] = False
+    if not keep.any():
+        raise ValueError(f"source_spacing {source_spacing} places no point source "
+                         f"outside the extended box at fine_n {fine.nx}")
+    return np.flatnonzero(keep)
+
+
 def run_eigendecay_study(fine_n: int = 40, inclusion_value: float = 100.0,
                          source_spacing: float = 0.2, workers: int = 1,
                          out=None) -> list:
@@ -337,27 +357,19 @@ def run_eigendecay_study(fine_n: int = 40, inclusion_value: float = 100.0,
                spacing=source_spacing)
     h = config_hash(cfg)
     fine = build_fine_mesh(fine_n, fine_n)
+    sources = eigendecay_sources(fine, source_spacing)
     coarse = build_coarse_mesh(fine, 5, 5)  # the target is one coarse block
     kappa = centered_inclusion(fine, inclusion_value)
     target = LocalRegion.from_cell_box(
         fine, cell_box_from_coords(fine, 0.4, 0.6, 0.4, 0.6))
     ext = LocalRegion.from_cell_box(
-        fine, cell_box_from_coords(fine, 0.3, 0.7, 0.3, 0.7))
+        fine, cell_box_from_coords(fine, *EIGENDECAY_EXT))
 
     # snapshots: globally harmonic away from sources placed outside ext
     A = assemble_stiffness(fine, kappa)
     b0 = np.zeros(fine.n_nodes)
     A_ff, _, fr, _ = reduce_dirichlet(A, b0, fine, BoundaryCondition(0.0))
     lu = SparseFactor(A_ff)
-    ext_mask = np.zeros(fine.n_nodes, dtype=bool)
-    ext_mask[ext.nodes] = True
-    free_mask = np.zeros(fine.n_nodes, dtype=bool)
-    free_mask[fr] = True
-    step = max(int(round(source_spacing * fine.nx)), 1)
-    nxp = fine.nx + 1
-    sources = [n for n in range(fine.n_nodes)
-               if free_mask[n] and not ext_mask[n]
-               and (n % nxp) % step == 0 and (n // nxp) % step == 0]
     pos = np.full(fine.n_nodes, -1, dtype=np.int64)
     pos[fr] = np.arange(len(fr))
 

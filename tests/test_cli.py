@@ -194,6 +194,7 @@ SMALL = {"fine_n": 20, "coarse_n": 4}
     ("study-anisotropic", dict(SMALL, mu=2.0)),
     ("study-nonlinear", dict(SMALL, offline_counts=[0])),
     ("study-nonlinear", dict(SMALL, u_range=[1.0])),
+    ("study-eigendecay", {"fine_n": 20, "source_spacing": 5.0}),
 ])
 def test_bad_study_value_is_config_error(tmp_path, capsys, command, cfg):
     assert main(["--config", _cfg(tmp_path, cfg), command]) == 2

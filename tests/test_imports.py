@@ -1,5 +1,6 @@
 """Every name a library module imports is used in that module, and no
-function imports from a module the file already imports at top level.
+function of a library module or a test file imports from a module the
+file already imports at top level.
 
 There is no linter in the toolchain, so this stdlib-only scan is the
 check.  The package's __init__ only re-exports, so it is skipped.
@@ -12,6 +13,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "gmsfem"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
 
 
 def unused_imports(source: str) -> list:
@@ -64,6 +66,6 @@ def test_scan_finds_a_late_import():
     assert late_imports(src) == [".a", "os"]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + TESTS, ids=lambda p: p.name)
 def test_no_late_imports(path):
     assert late_imports(path.read_text()) == []

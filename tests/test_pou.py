@@ -4,12 +4,15 @@ ordering."""
 import numpy as np
 import pytest
 
-from gmsfem.coeff import CoefficientField
-from gmsfem.fem import assemble_mass, assemble_stiffness
+from gmsfem.coeff import CoefficientField, cell_box_from_coords
+from gmsfem.fem import _triangle_geometry, assemble_mass, assemble_stiffness
 from gmsfem.fields import channels_and_inclusions
 from gmsfem.mesh import build_coarse_mesh, build_fine_mesh
 from gmsfem.pou import (bilinear_pou, energy_min_pou, multiscale_pou,
                         pou_gradient_weight)
+from gmsfem.spaces import LocalRegion
+from pou_oracles import (ORACLE_SIZES, dense_chi, dense_gradient_weight,
+                         pou_problem)
 
 
 @pytest.fixture(scope="module")
@@ -40,7 +43,7 @@ def test_support_contained_in_neighborhood(setup):
     for name, pou in _all_pous(coarse, kappa).items():
         for nb in coarse.neighborhoods:
             outside = np.setdiff1d(np.arange(fine.n_nodes), nb.nodes)
-            leak = np.abs(pou.chi[nb.coarse_node][outside]).max()
+            leak = np.abs(pou.dense(nb.coarse_node)[outside]).max()
             assert leak == 0.0, (name, nb.coarse_node)
 
 
@@ -48,7 +51,7 @@ def test_bilinear_is_nodal(setup):
     fine, coarse, kappa = setup
     pou = bilinear_pou(coarse)
     fid = coarse.coarse_node_fine_ids
-    vals = pou.chi[np.arange(coarse.N_v), fid]
+    vals = dense_chi(pou)[np.arange(coarse.N_v), fid]
     assert np.allclose(vals, 1.0, atol=1e-14)
 
 
@@ -76,7 +79,7 @@ def test_energy_min_is_constrained_minimum(setup):
     for _ in range(5):
         d = np.zeros(fine.n_nodes)
         d[shared] = rng.standard_normal(len(shared))
-        chi = pou.chi.copy()
+        chi = dense_chi(pou)
         chi[i] += 1e-3 * d
         chi[j] -= 1e-3 * d  # keeps the sum exactly one
         perturbed = float(sum(c @ (A @ c) for c in chi))
@@ -86,8 +89,7 @@ def test_energy_min_is_constrained_minimum(setup):
 def test_gradient_weight_totals_energy(setup):
     fine, coarse, kappa = setup
     for name, pou in _all_pous(coarse, kappa).items():
-        w = pou_gradient_weight(pou, kappa)
-        from gmsfem.fem import _triangle_geometry
+        w = pou_gradient_weight(pou, kappa, np.arange(fine.n_cells))
         _, _, area = _triangle_geometry(fine, np.arange(2 * fine.n_cells))
         assert float((w * area).sum()) == pytest.approx(
             pou.energy(kappa), rel=1e-10), name
@@ -98,6 +100,53 @@ def test_gradient_weight_tensor_field(setup):
     rng = np.random.default_rng(4)
     tens = CoefficientField(rng.uniform(1.0, 5.0, (fine.n_cells, 2)))
     pou = bilinear_pou(coarse)
-    w = pou_gradient_weight(pou, tens)
+    w = pou_gradient_weight(pou, tens, np.arange(fine.n_cells))
     assert w.shape == (2 * fine.n_cells,)
     assert np.all(w >= 0)
+
+
+@pytest.fixture(scope="module", params=ORACLE_SIZES,
+                ids=lambda p: f"{p[0]}/{p[1]}")
+def sized(request):
+    return pou_problem(*request.param)
+
+
+def test_local_values_match_dense_chi(sized):
+    fine, coarse, _, pous = sized
+    for name, pou in pous.items():
+        chi = dense_chi(pou)
+        for i, nb in enumerate(coarse.neighborhoods):
+            assert np.array_equal(chi[i][nb.nodes], pou.local[i]), name
+            assert np.array_equal(pou.at(i, np.arange(fine.n_nodes)), chi[i])
+        assert pou.sum_defect() == float(np.abs(chi.sum(axis=0) - 1.0).max())
+
+
+def test_gradient_weight_matches_dense_oracle(sized):
+    fine, coarse, kappa, pous = sized
+    target = LocalRegion.from_cell_box(
+        fine, cell_box_from_coords(fine, 0.4, 0.6, 0.4, 0.6))
+    cell_sets = ([nb.cells for nb in coarse.neighborhoods]
+                 + [np.arange(fine.n_cells), target.cells])
+    for name, pou in pous.items():
+        for cells in cell_sets:
+            assert np.array_equal(pou_gradient_weight(pou, kappa, cells),
+                                  dense_gradient_weight(pou, kappa, cells)), name
+
+
+def test_local_storage_holds_one_value_per_neighborhood_node():
+    fine = build_fine_mesh(40, 40)
+    coarse = build_coarse_mesh(fine, 8, 8)
+    kappa = channels_and_inclusions(fine, 1e3)
+    dense_size = coarse.N_v * fine.n_nodes
+    for name, pou in _all_pous(coarse, kappa).items():
+        arrays = []
+        for key, value in vars(pou).items():
+            if key == "coarse":
+                continue
+            if isinstance(value, np.ndarray):
+                arrays.append(value)
+            elif isinstance(value, (list, tuple)):
+                arrays += [v for v in value if isinstance(v, np.ndarray)]
+        assert all(a.size < dense_size for a in arrays), name
+        assert sum(a.size for a in arrays) == sum(
+            nb.n_nodes for nb in coarse.neighborhoods), name

@@ -10,8 +10,10 @@ from gmsfem.coeff import CoefficientField
 from gmsfem.fem import (BoundaryCondition, assemble_load, assemble_stiffness,
                         reduce_dirichlet)
 from gmsfem.mesh import build_coarse_mesh, build_fine_mesh, build_overlap
+from gmsfem.pou import bilinear_pou
 from gmsfem.solvers import (NumericalError, SparseFactor, build_two_level,
                             dense_gen_eig, pcg, _lanczos_condition)
+from pou_oracles import dense_chi
 
 
 def _random_spd(rng, n, cond=1e3):
@@ -157,9 +159,8 @@ def test_two_level_preconditioner_on_laplace():
     b = assemble_load(fine, 1.0)
     bc = BoundaryCondition(0.0)
     A_ff, b_f, fr, _ = reduce_dirichlet(A, b, fine, bc)
-    from gmsfem.pou import bilinear_pou
     pou = bilinear_pou(coarse)
-    P = sp.csr_matrix(pou.chi.T)[fr]
+    P = sp.csr_matrix(dense_chi(pou).T)[fr]
     pos = np.full(fine.n_nodes, -1, dtype=np.int64)
     pos[fr] = np.arange(len(fr))
     ov = build_overlap(coarse, delta_layers=2)
@@ -184,7 +185,6 @@ def test_two_level_rejects_empty_subdomain():
     A = assemble_stiffness(fine, kappa)
     b = assemble_load(fine, 1.0)
     A_ff, _, fr, _ = reduce_dirichlet(A, b, fine, BoundaryCondition(0.0))
-    from gmsfem.pou import bilinear_pou
-    P = sp.csr_matrix(bilinear_pou(coarse).chi.T)[fr]
+    P = sp.csr_matrix(dense_chi(bilinear_pou(coarse)).T)[fr]
     with pytest.raises(NumericalError):
         build_two_level(A_ff, P, [np.array([], dtype=np.int64)])

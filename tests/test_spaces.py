@@ -4,17 +4,20 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from gmsfem.coeff import CoefficientField
-from gmsfem.fem import assemble_mass, assemble_stiffness
+from gmsfem.coeff import CoefficientField, cell_box_from_coords
+from gmsfem.coupling import build_coarse_basis, coarse_dirichlet_lift
+from gmsfem.fem import BoundaryCondition, assemble_mass, assemble_stiffness
 from gmsfem.fields import channels_and_inclusions
 from gmsfem.mesh import build_coarse_mesh, build_fine_mesh
-from gmsfem.pou import multiscale_pou, pou_gradient_weight
+from gmsfem.pou import multiscale_pou
 from gmsfem.solvers import dense_gen_eig
 from gmsfem.spaces import (LocalRegion, SnapshotSpace, assemble_a_form,
                            assemble_s_form, build_offline, build_online,
                            count_unbounded, fine_grid_snapshots,
                            harmonic_snapshots, offline_spaces,
                            spectral_snapshots, truncate)
+from pou_oracles import (ORACLE_SIZES, dense_chi, dense_gradient_weight,
+                         pou_problem)
 
 
 @pytest.fixture(scope="module")
@@ -86,11 +89,76 @@ def test_a_form_requires_pou(setup):
         assert M.shape == (region.n_nodes, region.n_nodes)
         d = np.abs((M - M.T)).max()
         assert d < 1e-10
-    # the gradient weight computed once for all regions gives the same bits
-    M = assemble_a_form(fine, region, kappa, "pou_grad_mass", pou)
-    w = pou_gradient_weight(pou, kappa)
-    M_w = assemble_a_form(fine, region, kappa, "pou_grad_mass", pou, w)
-    assert np.array_equal(M.toarray(), M_w.toarray())
+
+
+@pytest.fixture(scope="module", params=ORACLE_SIZES,
+                ids=lambda p: f"{p[0]}/{p[1]}")
+def sized(request):
+    return pou_problem(*request.param)
+
+
+def dense_pou_stiffness_form(mesh, region, kappa, pou):
+    """sum over every k of D_k A D_k on the padded box, D_k = diag(chi_k)
+    zeroed outside the region, with chi_k dense."""
+    cx0, cx1, cy0, cy1 = region.cell_box
+    pad = (max(cx0 - 1, 0), min(cx1 + 1, mesh.nx),
+           max(cy0 - 1, 0), min(cy1 + 1, mesh.ny))
+    pad_nodes = mesh.nodes_in_cell_box(*pad)
+    A_pad = assemble_stiffness(mesh, kappa, restrict_to=pad_nodes,
+                               cells=mesh.cells_in_box(*pad))
+    in_region = np.isin(pad_nodes, region.nodes)
+    total = sp.csr_matrix((len(pad_nodes), len(pad_nodes)))
+    for chi in dense_chi(pou):
+        d = np.where(in_region, chi[pad_nodes], 0.0)
+        if np.any(d):
+            total = total + sp.diags(d) @ A_pad @ sp.diags(d)
+    r = np.searchsorted(pad_nodes, region.nodes)
+    return total[r][:, r].toarray()
+
+
+def test_pou_a_forms_match_dense_oracle(sized):
+    fine, coarse, kappa, pous = sized
+    regions = [LocalRegion.from_neighborhood(nb) for nb in coarse.neighborhoods]
+    regions.append(LocalRegion.from_cell_box(
+        fine, cell_box_from_coords(fine, 0.4, 0.6, 0.4, 0.6)))
+    for name, pou in pous.items():
+        for region in regions:
+            w = dense_gradient_weight(pou, kappa, region.cells)
+            want = assemble_mass(fine, restrict_to=region.nodes,
+                                 cells=region.cells, triangle_weight=w)
+            got = assemble_a_form(fine, region, kappa, "pou_grad_mass", pou)
+            assert np.array_equal(got.toarray(), want.toarray()), name
+            got = assemble_a_form(fine, region, kappa, "pou_stiffness", pou)
+            assert np.array_equal(got.toarray(), dense_pou_stiffness_form(
+                fine, region, kappa, pou)), name
+
+
+def test_coarse_basis_and_lift_match_dense_oracle(sized):
+    fine, coarse, kappa, pous = sized
+    bc = BoundaryCondition(lambda x, y: x + y)
+    interior = set(coarse.interior_coarse_nodes.tolist())
+    bnd = fine.boundary_nodes
+    for name, pou in pous.items():
+        spaces = {i: s for i, s in offline_spaces(
+            coarse, kappa, "harmonic", pou=pou, count=2).items() if i in interior}
+        basis = build_coarse_basis(coarse, pou, spaces)
+        chi = dense_chi(pou)
+        cols = []
+        for i in sorted(spaces):
+            for j in range(spaces[i].dim):
+                col = np.zeros(fine.n_nodes)
+                col[spaces[i].region.nodes] = chi[i][spaces[i].region.nodes] * \
+                    spaces[i].columns[:, j]
+                col[bnd] = 0.0
+                cols.append(col)
+        assert np.array_equal(basis.P.toarray(), np.column_stack(cols)), name
+        lift = np.zeros(fine.n_nodes)
+        for i in range(coarse.N_v):
+            if i not in spaces:
+                g_i = bc.values(fine, coarse.coarse_node_fine_ids[[i]])[0]
+                lift += g_i * chi[i]
+        lift[bnd] = bc.values(fine, bnd)
+        assert np.array_equal(coarse_dirichlet_lift(basis, bc), lift), name
 
 
 def test_offline_reproduces_dense_eigenproblem(setup):

@@ -1,9 +1,11 @@
 """Study driver plumbing: hashing, ordered mapping, CSV output."""
 
 import numpy as np
+import pytest
 
 from gmsfem.studies import (config_hash, detect_mode_counts, parallel_map,
-                            run_convergence_study, write_csv, _fmt)
+                            run_convergence_study, run_eigendecay_study,
+                            write_csv, _fmt)
 from gmsfem.fields import channels_and_inclusions
 from gmsfem.mesh import build_coarse_mesh, build_fine_mesh
 
@@ -53,3 +55,8 @@ def test_convergence_rows_shape(tmp_path):
     lines = out.read_text().strip().splitlines()
     assert lines[0].split(",")[0] == "variant"
     assert len(lines) == 3
+
+
+def test_eigendecay_without_point_sources_names_the_spacing():
+    with pytest.raises(ValueError, match="source_spacing 5.0 places no point source"):
+        run_eigendecay_study(fine_n=20, source_spacing=5.0)
