@@ -1,6 +1,6 @@
-"""Numerical kernels: generalized eigensolver, direct factors, and PCG
-with a two-level additive Schwarz preconditioner and a Lanczos condition
-estimate recovered from the CG coefficients."""
+"""Numerical kernels: dense and shift-invert generalized eigensolvers,
+direct factors, and PCG with a two-level additive Schwarz preconditioner
+and a Lanczos condition estimate recovered from the CG coefficients."""
 
 from __future__ import annotations
 
@@ -20,26 +20,16 @@ class NumericalError(RuntimeError):
 INF_CUTOFF = 1e-12  # relative rank tolerance on the S side
 
 
-def dense_gen_eig(A: np.ndarray, S: np.ndarray, inf_cutoff: float = INF_CUTOFF):
+def dense_gen_eig(A: np.ndarray, S: np.ndarray):
     """Eigenpairs of A psi = lambda S psi with A positive definite.
 
     Solved as the reversed pencil S v = nu A v by congruence with the
     Cholesky factor of A; lambda = 1/nu.  The lambda = inf modes are the
     S-null directions, so their count is read off the rank of S (relative
-    eigenvalue tolerance inf_cutoff) rather than from the nu values, which
+    eigenvalue tolerance INF_CUTOFF) rather than from the nu values, which
     keeps the detection independent of the conditioning of A.  Returns
     eigenvalues in non-increasing order (inf modes first) and
     A-orthonormal eigenvectors as columns.
-    """
-    return _gen_eig(A, S, inf_cutoff)
-
-
-def _gen_eig(A, S, inf_cutoff):
-    """dense_gen_eig; inf_cutoff None skips the inf-mode count.
-
-    The count is a full eigvalsh of S.  Without it the S-null modes keep
-    their finite lambda = 1/max(nu, tiny); the eigenvectors and their
-    order are the same, so callers that keep only eigenvectors skip it.
     """
     A = np.asarray(A, dtype=float)
     S = np.asarray(S, dtype=float)
@@ -67,13 +57,40 @@ def _gen_eig(A, S, inf_cutoff):
     nu = np.maximum(nu, 0.0)
     vecs = la.solve_triangular(L.T, V, lower=False)
     lam = 1.0 / np.maximum(nu, np.finfo(float).tiny)
-    if inf_cutoff is not None:
-        w_s = np.linalg.eigvalsh(S)
-        n_inf = int(np.sum(w_s <= inf_cutoff * max(w_s[-1], 0.0)))
-        # ascending nu is descending lambda; the n_inf smallest nu belong
-        # to the S-null directions and are reported as lambda = inf
-        lam[:n_inf] = np.inf
+    w_s = np.linalg.eigvalsh(S)
+    n_inf = int(np.sum(w_s <= INF_CUTOFF * max(w_s[-1], 0.0)))
+    # ascending nu is descending lambda; the n_inf smallest nu belong
+    # to the S-null directions and are reported as lambda = inf
+    lam[:n_inf] = np.inf
     return lam, vecs
+
+
+SHIFT = -1e-8  # shift-invert pole just below nu = 0, the S-null modes
+
+
+def leading_gen_eig(A: sp.spmatrix, S: sp.spmatrix, k: int):
+    """The k leading eigenpairs of A psi = lambda S psi, A sparse SPD and
+    S sparse PSD, by shift-invert Lanczos (ARPACK mode 3), for k < n - 1.
+
+    The k eigenvalues nu of S v = nu A v nearest SHIFT come from one sparse
+    factorization of S - SHIFT*A.  As in dense_gen_eig, lambda = 1/nu is
+    non-increasing and the eigenvectors are A-orthonormal columns; the
+    S-null modes come first but are not flagged as inf.  The start vector
+    and the generator of ARPACK's restarts are seeded, so every call and
+    thread gets the same bits (a constant start vector is the S-null mode
+    and breaks down at once).
+    """
+    n = A.shape[0]
+    try:
+        nu, vecs = spla.eigsh(S.tocsc(), k=k, M=A.tocsc(), sigma=SHIFT,
+                              which="LM",
+                              v0=np.random.default_rng(0).standard_normal(n),
+                              rng=0)
+    except spla.ArpackError as exc:
+        raise NumericalError(f"shift-invert Lanczos failed: {exc}") from None
+    order = np.argsort(nu)
+    nu, vecs = nu[order], vecs[:, order]
+    return 1.0 / np.maximum(nu, np.finfo(float).tiny), vecs
 
 
 class SparseFactor:

@@ -19,7 +19,8 @@ from .coeff import CoefficientField
 from .fem import assemble_mass, assemble_stiffness
 from .mesh import CoarseMesh, FineMesh, Neighborhood, _box_boundary_nodes
 from .pou import pou_gradient_weight
-from .solvers import SparseFactor, _gen_eig, dense_gen_eig
+from .solvers import (NumericalError, SparseFactor, dense_gen_eig,
+                      leading_gen_eig)
 
 A_FORMS = ("pou_stiffness", "pou_grad_mass", "kappa_mass", "kappa_stiffness")
 
@@ -125,11 +126,22 @@ def spectral_snapshots(A_t: sp.spmatrix, S_t: sp.spmatrix, count: int,
                        region: LocalRegion) -> SnapshotSpace:
     """Dominant eigenvectors of A_t psi = lambda S_t psi, Neumann forms.
 
-    Only the eigenvectors are kept, so the inf-mode count is skipped.
+    The count leading eigenvectors (largest lambda, the S_t-null constant
+    mode first), A_t-orthonormal.  They come from the sparse shift-invert
+    kernel solvers.leading_gen_eig, which needs count < n - 1; a larger
+    count takes every eigenvector of dense_gen_eig.  A kernel failure is
+    a NumericalError naming the region, never a silent dense fallback.
     """
-    _, vecs = _gen_eig(np.asarray(A_t.todense()), np.asarray(S_t.todense()),
-                       inf_cutoff=None)
-    count = min(count, vecs.shape[1])
+    n = A_t.shape[0]
+    count = min(count, n)
+    if count < n - 1:
+        try:
+            _, vecs = leading_gen_eig(A_t, S_t, count)
+        except NumericalError as exc:
+            raise NumericalError(f"region {region.label}: {exc}") from None
+    else:
+        _, vecs = dense_gen_eig(np.asarray(A_t.todense()),
+                                np.asarray(S_t.todense()))
     return SnapshotSpace(region=region, columns=vecs[:, :count], kind="local-spectral")
 
 

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from gmsfem import spaces
 from gmsfem.coeff import CoefficientField
 from gmsfem.fem import BoundaryCondition, assemble_load, assemble_mass, \
     assemble_stiffness, relative_errors
@@ -117,6 +118,29 @@ def test_shared_snapshot_stage_matches_offline_built_inside(setup):
         assert fast.dims == slow.dims
         assert fast.iterations == slow.iterations
         assert np.array_equal(fast.u, slow.u)
+
+
+def test_snapshot_eigensolves_stay_sparse(setup, monkeypatch):
+    # the only dense eigensolves are build_offline's reductions, one per
+    # node and count; the spectral snapshots use the sparse kernel
+    fine, coarse, nl = setup
+    calls = {"dense": 0, "sparse": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(spaces, "dense_gen_eig",
+                        counted("dense", spaces.dense_gen_eig))
+    monkeypatch.setattr(spaces, "leading_gen_eig",
+                        counted("sparse", spaces.leading_gen_eig))
+    samples = np.linspace(0.0, 2.5, 3)
+    counts = [3, 5]
+    build_nonlinear_offline(coarse, nl, samples, 4, counts)
+    assert calls["dense"] == coarse.N_v * len(counts)
+    assert calls["sparse"] == coarse.N_v * len(samples)
 
 
 def test_fine_reference_alpha_zero_matches_direct_solve(setup):

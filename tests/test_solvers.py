@@ -1,18 +1,22 @@
 """Eigensolver oracle checks, sparse factors, PCG, and the two-level
 preconditioner."""
 
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 import scipy.linalg as la
 import scipy.sparse as sp
 
 from gmsfem.coeff import CoefficientField
-from gmsfem.fem import (BoundaryCondition, assemble_load, assemble_stiffness,
-                        reduce_dirichlet)
+from gmsfem.fem import (BoundaryCondition, assemble_load, assemble_mass,
+                        assemble_stiffness, reduce_dirichlet)
+from gmsfem.fields import channels_and_inclusions
 from gmsfem.mesh import build_coarse_mesh, build_fine_mesh, build_overlap
 from gmsfem.pou import bilinear_pou
 from gmsfem.solvers import (NumericalError, SparseFactor, build_two_level,
-                            dense_gen_eig, pcg, _lanczos_condition)
+                            dense_gen_eig, leading_gen_eig, pcg,
+                            _lanczos_condition)
 from pou_oracles import dense_chi
 
 
@@ -84,6 +88,26 @@ def test_singular_a_falls_back_to_forward_pencil():
 def test_shape_mismatch_raises():
     with pytest.raises(ValueError):
         dense_gen_eig(np.eye(3), np.eye(4))
+
+
+def test_leading_gen_eig_is_deterministic():
+    # the seeded start vector and restart generator make the result the
+    # same on every call and in concurrent threads (criterion 11 needs it)
+    fine = build_fine_mesh(40, 40)
+    coarse = build_coarse_mesh(fine, 4, 4)
+    nb = coarse.neighborhoods[coarse.coarse_node_id(2, 2)]
+    kappa = channels_and_inclusions(fine, 1e5)
+    A = assemble_mass(fine, weight=kappa, restrict_to=nb.nodes, cells=nb.cells)
+    S = assemble_stiffness(fine, kappa, restrict_to=nb.nodes, cells=nb.cells)
+    lam, vecs = leading_gen_eig(A, S, 8)
+    assert vecs.shape == (441, 8)
+    assert np.all(np.diff(lam) <= 0)
+    runs = [leading_gen_eig(A, S, 8)]
+    with ThreadPoolExecutor(max_workers=2) as ex:
+        runs += list(ex.map(lambda _: leading_gen_eig(A, S, 8), range(2)))
+    for lam_r, vecs_r in runs:
+        assert np.array_equal(lam_r, lam)
+        assert np.array_equal(vecs_r, vecs)
 
 
 def test_sparse_factor():

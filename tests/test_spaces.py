@@ -3,19 +3,24 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.linalg import ArpackNoConvergence
 
-from gmsfem.coeff import CoefficientField, cell_box_from_coords
+from gmsfem import solvers, spaces
+from gmsfem.coeff import CoefficientField, cell_box_from_coords, evaluate
 from gmsfem.coupling import build_coarse_basis, coarse_dirichlet_lift
 from gmsfem.fem import BoundaryCondition, assemble_mass, assemble_stiffness
-from gmsfem.fields import channels_and_inclusions
+from gmsfem.fields import (affine_four_term, channels_and_inclusions,
+                           channels_and_inclusions_alt)
 from gmsfem.mesh import build_coarse_mesh, build_fine_mesh
+from gmsfem.nonlinear import NonlinearCoefficient
 from gmsfem.pou import multiscale_pou
-from gmsfem.solvers import dense_gen_eig
+from gmsfem.solvers import NumericalError, dense_gen_eig, leading_gen_eig
 from gmsfem.spaces import (LocalRegion, SnapshotSpace, assemble_a_form,
                            assemble_s_form, build_offline, build_online,
                            count_unbounded, fine_grid_snapshots,
                            harmonic_snapshots, offline_spaces,
                            spectral_snapshots, truncate)
+from gmsfem.studies import PARAM_SAMPLES
 from pou_oracles import (ORACLE_SIZES, dense_chi, dense_gradient_weight,
                          pou_problem)
 
@@ -64,19 +69,100 @@ def test_fine_grid_snapshots_identity(setup):
     assert np.array_equal(snap.columns, np.eye(region.n_nodes))
 
 
+def _neumann_pencil(fine, region, kappa):
+    return (assemble_mass(fine, weight=kappa, restrict_to=region.nodes,
+                          cells=region.cells),
+            assemble_stiffness(fine, kappa, restrict_to=region.nodes,
+                               cells=region.cells))
+
+
+def _assert_matches_dense_oracle(A_t, S_t, cols):
+    """Sparse leading eigenvectors against dense_gen_eig on one pencil.
+
+    A_t-orthonormal to 1e-10, and wherever the spectrum has a gap
+    (nu_{j+1}/nu_j > 1 + 1e-6) the leading j columns span the dense
+    leading j eigenvectors: sine of the largest A_t-principal angle
+    <= 1e-8.  nu = 1/lambda; the S-null mode has nu = 0.
+    """
+    k = cols.shape[1]
+    A = np.asarray(A_t.todense())
+    lam, vecs = dense_gen_eig(A, np.asarray(S_t.todense()))
+    nu = 1.0 / lam  # inf -> 0
+    assert np.abs(cols.T @ A @ cols - np.eye(k)).max() <= 1e-10
+    for j in range(1, k + 1):
+        if nu[j] <= (1.0 + 1e-6) * nu[j - 1]:
+            continue
+        V, D = cols[:, :j], vecs[:, :j]
+        R = V - D @ (D.T @ (A @ V))  # A-orthogonal residual of span(V)
+        sin_max = np.sqrt(max(np.linalg.eigvalsh(R.T @ A @ R)[-1], 0.0))
+        assert sin_max <= 1e-8, (j, sin_max)
+    return nu
+
+
 def test_spectral_snapshots_count(setup):
-    fine, _, kappa, _, region = setup
-    A_t = assemble_mass(fine, weight=kappa, restrict_to=region.nodes,
-                        cells=region.cells)
-    S_t = assemble_stiffness(fine, kappa, restrict_to=region.nodes,
-                             cells=region.cells)
+    fine, coarse, kappa, _, region = setup
+    A_t, S_t = _neumann_pencil(fine, region, kappa)
     snap = spectral_snapshots(A_t, S_t, 6, region)
     assert snap.columns.shape == (region.n_nodes, 6)
     assert snap.kind == "local-spectral"
-    # skipping the inf-mode count leaves the eigenvectors bit-identical
-    _, vecs = dense_gen_eig(np.asarray(A_t.todense()),
-                            np.asarray(S_t.todense()))
-    assert np.array_equal(snap.columns, vecs[:, :6])
+    _assert_matches_dense_oracle(A_t, S_t, snap.columns)
+    # count >= n - 1 takes the dense path: its columns are dense_gen_eig's
+    corner = LocalRegion.from_neighborhood(coarse.neighborhoods[0])
+    assert corner.n_nodes == 36
+    A_c, S_c = _neumann_pencil(fine, corner, kappa)
+    _, vecs = dense_gen_eig(np.asarray(A_c.todense()),
+                            np.asarray(S_c.todense()))
+    for count in (35, 36, 40):
+        snap = spectral_snapshots(A_c, S_c, count, corner)
+        assert np.array_equal(snap.columns, vecs[:, :min(count, 36)])
+
+
+def _oracle_pencils():
+    """(name, fine, region, field): 121- and 441-node interior regions."""
+    for n, c in ((20, 4), (40, 4)):
+        fine = build_fine_mesh(n, n)
+        coarse = build_coarse_mesh(fine, c, c)
+        region = LocalRegion.from_neighborhood(
+            coarse.neighborhoods[coarse.coarse_node_id(2, 2)])
+        for eta in (1e3, 1e5):
+            nl = NonlinearCoefficient(
+                kappa1=channels_and_inclusions(fine, eta),
+                kappa2=channels_and_inclusions_alt(fine, eta), alpha=1.0)
+            yield f"nonlinear-{eta:.0e}", fine, region, nl.at_value(1.25)
+        aff = affine_four_term(fine, 1e4)
+        yield "affine", fine, region, evaluate(aff, aff.parameter(PARAM_SAMPLES[0]))
+
+
+@pytest.mark.parametrize("name,fine,region,kappa", [
+    pytest.param(*p, id=f"{p[2].n_nodes}-{p[0]}") for p in _oracle_pencils()])
+def test_spectral_snapshots_match_dense_oracle(name, fine, region, kappa):
+    # snap_per_sample 8 of the studies, and 10 of the parametric study
+    A_t, S_t = _neumann_pencil(fine, region, kappa)
+    for k in (8, 10):
+        cols = spectral_snapshots(A_t, S_t, k, region).columns
+        assert cols.shape == (region.n_nodes, k)
+        nu = _assert_matches_dense_oracle(A_t, S_t, cols)
+        lam_s, _ = leading_gen_eig(A_t, S_t, k)
+        nu_s = 1.0 / lam_s
+        assert np.all(np.abs(nu_s - nu[:k])
+                      <= 1e-9 * nu[:k] + 1e-12 * nu[k - 1])
+
+
+def test_spectral_snapshots_fail_loudly(setup, monkeypatch):
+    fine, _, kappa, _, region = setup
+    A_t, S_t = _neumann_pencil(fine, region, kappa)
+
+    def no_convergence(*args, **kwargs):
+        raise ArpackNoConvergence("no convergence", np.empty(0),
+                                  np.empty((0, 0)))
+
+    def no_dense(*args, **kwargs):
+        raise AssertionError("silent dense fallback")
+
+    monkeypatch.setattr(solvers.spla, "eigsh", no_convergence)
+    monkeypatch.setattr(spaces, "dense_gen_eig", no_dense)
+    with pytest.raises(NumericalError, match=f"region {region.label}: "):
+        spectral_snapshots(A_t, S_t, 6, region)
 
 
 def test_a_form_requires_pou(setup):
