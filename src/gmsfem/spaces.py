@@ -2,8 +2,11 @@
 
 Snapshot columns are fine-grid vectors on a local region; the offline and
 online stages each solve a dense generalized eigenproblem of projected
-local forms and keep the dominant eigenvectors.  offline_spaces is the
-one offline pipeline: snapshots -> forms -> build_offline per coarse node.
+local forms and keep the dominant eigenvectors.  Fine-grid (identity)
+snapshots are never projected or whitened: their offline stage solves the
+local pencil itself, and drop_tol applies only to the other kinds.
+offline_spaces is the one offline pipeline: snapshots -> forms ->
+build_offline per coarse node.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from .fem import assemble_mass, assemble_stiffness
 from .mesh import CoarseMesh, FineMesh, Neighborhood, _box_boundary_nodes
 from .pou import pou_gradient_weight
 from .solvers import (NumericalError, SparseFactor, dense_gen_eig,
-                      leading_gen_eig)
+                      full_gen_eig, leading_gen_eig)
 
 A_FORMS = ("pou_stiffness", "pou_grad_mass", "kappa_mass", "kappa_stiffness")
 
@@ -63,7 +66,7 @@ class LocalRegion:
 class SnapshotSpace:
     region: LocalRegion
     columns: np.ndarray  # (n_local_nodes, M_snap)
-    kind: str
+    kind: str            # "fine-grid" means the columns are the identity
 
     @property
     def M_snap(self) -> int:
@@ -220,6 +223,17 @@ def _select(lams: np.ndarray, count=None, threshold=None) -> int:
     return len(lams)
 
 
+def _selection(lam: np.ndarray, count, threshold, dropped: int,
+               extra=None) -> tuple:
+    """(kept count, ReducedSpace.selection) for a non-increasing spectrum."""
+    L = _select(lam, count=count, threshold=threshold)
+    sel = {"count": count, "threshold": threshold, "kept": L,
+           "dropped_snapshots": dropped}
+    if extra:
+        sel.update(extra)
+    return L, sel
+
+
 def _reduce(columns: np.ndarray, a_mat, s_mat, stage: str, region,
             count=None, threshold=None, drop_tol=None, selection_extra=None):
     R = columns
@@ -233,11 +247,7 @@ def _reduce(columns: np.ndarray, a_mat, s_mat, stage: str, region,
     else:
         T = np.eye(R.shape[1])
     lam, vecs = dense_gen_eig(A, S)
-    L = _select(lam, count=count, threshold=threshold)
-    sel = {"count": count, "threshold": threshold, "kept": L,
-           "dropped_snapshots": deflated}
-    if selection_extra:
-        sel.update(selection_extra)
+    L, sel = _selection(lam, count, threshold, deflated, selection_extra)
     return ReducedSpace(region=region, columns=R @ (T @ vecs[:, :L]),
                         eigenvalues=lam, stage=stage, selection=sel)
 
@@ -246,14 +256,31 @@ def build_offline(snap: SnapshotSpace, a_mat: sp.spmatrix, s_mat: sp.spmatrix,
                   count=None, threshold=None, drop_tol: float = 1e-10) -> ReducedSpace:
     """Project the forms onto the snapshots and keep dominant eigenvectors.
 
-    Snapshot columns are first whitened in the combined (a+s) inner product
-    (drop tolerance removes dependent columns), which keeps the projected
-    pencil well conditioned while preserving the s-null modes whose
-    eigenvalues are reported as inf.
+    Kept columns are a-orthonormal.  Fine-grid snapshots are the identity,
+    so the local pencil itself is solved, whole spectrum, by
+    solvers.full_gen_eig: nothing is projected or whitened and drop_tol is
+    not used; an a+s that is not positive definite, or a kept column
+    without an a-norm, raises NumericalError naming the region.  The
+    other kinds' columns can be dependent; they are first whitened in the
+    combined (a+s) inner product (drop_tol removes dependent columns),
+    which keeps the projected pencil well conditioned while preserving
+    the s-null modes whose eigenvalues are reported as inf.
     """
-    return _reduce(snap.columns, a_mat, s_mat, "offline", snap.region,
-                   count=count, threshold=threshold, drop_tol=drop_tol,
-                   selection_extra={"snapshot_kind": snap.kind})
+    extra = {"snapshot_kind": snap.kind}
+    if snap.kind != "fine-grid":
+        return _reduce(snap.columns, a_mat, s_mat, "offline", snap.region,
+                       count=count, threshold=threshold, drop_tol=drop_tol,
+                       selection_extra=extra)
+    label = snap.region.label
+    try:
+        lam, vecs = full_gen_eig(a_mat, s_mat)
+    except NumericalError as exc:
+        raise NumericalError(f"region {label}: {exc}") from None
+    L, sel = _selection(lam, count, threshold, 0, extra)
+    if L and lam[L - 1] == 0.0:
+        raise NumericalError(f"region {label}: a kept eigenvector has no a-norm")
+    return ReducedSpace(region=snap.region, columns=vecs[:, :L],
+                        eigenvalues=lam, stage="offline", selection=sel)
 
 
 def build_online(off: ReducedSpace, a_mat: sp.spmatrix, s_mat: sp.spmatrix,

@@ -403,7 +403,7 @@ def run_eigendecay_study(fine_n: int = 40, inclusion_value: float = 100.0,
     rows = []
     for name, cols, a_mat, s_mat in pairs:
         snap = SnapshotSpace(region=target if cols is cols_t else ext,
-                             columns=cols, kind="fine-grid")
+                             columns=cols, kind="global-harmonic")
         # global-harmonic snapshots are heavily rank deficient on the patch,
         # so dependent directions are dropped more aggressively here
         space = build_offline(snap, a_mat, s_mat, count=None, drop_tol=1e-8)

@@ -15,8 +15,8 @@ from gmsfem.fields import channels_and_inclusions
 from gmsfem.mesh import build_coarse_mesh, build_fine_mesh, build_overlap
 from gmsfem.pou import bilinear_pou
 from gmsfem.solvers import (NumericalError, SparseFactor, build_two_level,
-                            dense_gen_eig, leading_gen_eig, pcg,
-                            _lanczos_condition)
+                            dense_gen_eig, full_gen_eig, leading_gen_eig,
+                            pcg, _lanczos_condition)
 from pou_oracles import dense_chi
 
 
@@ -88,6 +88,41 @@ def test_singular_a_falls_back_to_forward_pencil():
 def test_shape_mismatch_raises():
     with pytest.raises(ValueError):
         dense_gen_eig(np.eye(3), np.eye(4))
+
+
+def test_full_gen_eig_matches_dense_oracle():
+    # criterion-02 pencils, full-rank and S-deficient: the same finite
+    # spectrum and inf count as dense_gen_eig, A-orthonormal columns
+    rng = np.random.default_rng(0)
+    for trial in range(200):
+        n = int(rng.integers(2, 51))
+        Q, _ = la.qr(rng.standard_normal((n, n)))
+        A = Q @ np.diag(np.geomspace(1.0, 1e4, n)) @ Q.T
+        deficient = trial % 2 == 1 and n > 2
+        m = int(rng.integers(1, n)) if deficient else n
+        U, _ = la.qr(rng.standard_normal((m, m)))
+        W, _ = la.qr(rng.standard_normal((n, n)))
+        B = U @ np.diag(np.geomspace(1.0, 30.0, m)) @ W[:m]
+        S = B.T @ B
+        lam, V = full_gen_eig(A, S)
+        want, _ = dense_gen_eig(A, S)
+        assert int(np.sum(np.isinf(lam))) == int(np.sum(np.isinf(want))) == n - m
+        fin = np.isfinite(want)
+        assert np.all(np.abs(lam[fin] - want[fin]) <= 1e-8 * want[fin])
+        assert np.all(np.diff(lam[fin]) <= 0)
+        assert np.abs(V.T @ A @ V - np.eye(n)).max() <= 1e-10
+
+
+def test_full_gen_eig_edges():
+    # A-null directions get lambda = 0; A + S must be definite
+    lam, V = full_gen_eig(np.diag([2.0, 0.0, 1.0]), np.diag([1.0, 1.0, 0.0]))
+    assert lam[0] == np.inf and lam[2] == 0.0
+    assert abs(lam[1] - 2.0) < 1e-14
+    assert np.allclose(np.abs(V), [[0, 1 / np.sqrt(2), 0], [0, 0, 1], [1, 0, 0]])
+    with pytest.raises(NumericalError, match="not positive definite"):
+        full_gen_eig(np.diag([1.0, 0.0]), np.diag([1.0, 0.0]))
+    with pytest.raises(ValueError):
+        full_gen_eig(np.eye(3), np.eye(4))
 
 
 def test_leading_gen_eig_is_deterministic():

@@ -18,7 +18,7 @@ from gmsfem.solvers import NumericalError, dense_gen_eig, leading_gen_eig
 from gmsfem.spaces import (LocalRegion, SnapshotSpace, assemble_a_form,
                            assemble_s_form, build_offline, build_online,
                            count_unbounded, fine_grid_snapshots,
-                           harmonic_snapshots, offline_spaces,
+                           harmonic_snapshots, local_forms, offline_spaces,
                            spectral_snapshots, truncate)
 from gmsfem.studies import PARAM_SAMPLES
 from pou_oracles import (ORACLE_SIZES, dense_chi, dense_gradient_weight,
@@ -263,6 +263,79 @@ def test_offline_reproduces_dense_eigenproblem(setup):
     assert off.dim == 8
     assert off.stage == "offline"
     assert off.selection["snapshot_kind"] == "fine-grid"
+
+
+def _fine_offline_at_24_4(eta, count):
+    """Fine-grid offline spaces and their pou_grad_mass / stiffness forms
+    at fine 24 / coarse 4 with the multiscale POU."""
+    fine = build_fine_mesh(24, 24)
+    coarse = build_coarse_mesh(fine, 4, 4)
+    kappa = channels_and_inclusions(fine, eta)
+    pou = multiscale_pou(coarse, kappa)
+    forms = local_forms(fine, kappa, "pou_grad_mass", pou)
+    got = offline_spaces(coarse, kappa, "fine", pou=pou, count=count)
+    return [(got[i], forms(LocalRegion.from_neighborhood(nb)))
+            for i, nb in enumerate(coarse.neighborhoods)]
+
+
+def test_fine_offline_eigenpairs_are_accurate_at_high_contrast():
+    # cond(A) is near 1e13 at eta 1e7; whitening A+S lost these pairs
+    # (relative residual up to 0.93)
+    for space, (a_mat, s_mat) in _fine_offline_at_24_4(1e7, 8):
+        for j in range(space.dim):
+            lam = space.eigenvalues[j]
+            if np.isinf(lam):
+                continue
+            ap = a_mat @ space.columns[:, j]
+            sp_ = s_mat @ space.columns[:, j]
+            res = np.linalg.norm(ap - lam * sp_) / (
+                np.linalg.norm(ap) + lam * np.linalg.norm(sp_))
+            assert res <= 1e-6, (space.region.label, j, res)
+
+
+@pytest.mark.parametrize("eta", [1e2, 1e4, 1e6, 1e7])
+def test_fine_offline_finds_one_inf_mode_per_neighborhood(eta):
+    # the S-null mode of each Neumann stiffness is the constant
+    for space, _ in _fine_offline_at_24_4(eta, 3):
+        assert np.sum(np.isinf(space.eigenvalues)) == 1, space.region.label
+
+
+def test_fine_offline_skips_whitening(setup, monkeypatch):
+    # identity snapshots solve the local pencil directly; harmonic
+    # snapshots are still whitened once per node
+    _, coarse, kappa, pou, _ = setup
+    calls = {"whiten": 0, "dense": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(spaces, "_orthonormal_transform",
+                        counted("whiten", spaces._orthonormal_transform))
+    monkeypatch.setattr(spaces, "dense_gen_eig",
+                        counted("dense", spaces.dense_gen_eig))
+    offline_spaces(coarse, kappa, "fine", pou=pou, count=3)
+    assert calls == {"whiten": 0, "dense": 0}
+    offline_spaces(coarse, kappa, "harmonic", pou=pou, count=3)
+    assert calls == {"whiten": coarse.N_v, "dense": coarse.N_v}
+
+
+def test_fine_offline_fails_loudly(setup):
+    fine, _, kappa, _, region = setup
+    snap = fine_grid_snapshots(region)
+    s_mat = assemble_s_form(fine, region, kappa)
+    # a vanishing a-form leaves every column without an a-norm (mu = 1
+    # exactly for diagonal forms)
+    n = region.n_nodes
+    with pytest.raises(NumericalError,
+                       match=f"region {region.label}: .*no a-norm"):
+        build_offline(snap, sp.csr_matrix((n, n)), sp.identity(n, format="csr"),
+                      count=1)
+    with pytest.raises(NumericalError,
+                       match=f"region {region.label}: .*not positive definite"):
+        build_offline(snap, -2 * s_mat, s_mat, count=1)
 
 
 def test_threshold_selection(setup):
