@@ -1,5 +1,5 @@
-"""Numerical kernels: dense and shift-invert generalized eigensolvers,
-direct factors, and PCG with a two-level additive Schwarz preconditioner
+"""Numerical kernels: the dense full-spectrum and the sparse shift-invert
+generalized eigensolvers (with a dense oracle for the tests), direct factors, and PCG with a two-level additive Schwarz preconditioner
 and a Lanczos condition estimate recovered from the CG coefficients."""
 
 from __future__ import annotations
@@ -21,7 +21,9 @@ INF_CUTOFF = 1e-12  # relative rank tolerance on the S side
 
 
 def dense_gen_eig(A: np.ndarray, S: np.ndarray):
-    """Eigenpairs of A psi = lambda S psi with A positive definite.
+    """Eigenpairs of A psi = lambda S psi with A positive definite: the
+    independent oracle that the tests check full_gen_eig and
+    leading_gen_eig against; the library itself does not call it.
 
     Solved as the reversed pencil S v = nu A v by congruence with the
     Cholesky factor of A; lambda = 1/nu.  The lambda = inf modes are the
@@ -78,13 +80,15 @@ def full_gen_eig(A, S):
     the test does not depend on how accurately mu is resolved near 0.  The
     A-null pairs (mu >= 1) get lambda = 0 and keep their (A+S)-normalized
     columns.  Returns eigenvalues in non-increasing order (inf modes first)
-    and the eigenvectors as columns, as dense_gen_eig does.
+    and the eigenvectors as columns.  This is the kernel of every local
+    spectral problem of the library (spaces._reduce and the dense branch
+    of spaces.spectral_snapshots).
     """
     if A.shape != S.shape or A.shape[0] != A.shape[1]:
         raise ValueError("A and S must be square of equal size")
-    A, S = (0.5 * (M + M.T) for M in (A, S))
     A_d, S_d = (M.toarray() if sp.issparse(M) else np.asarray(M, dtype=float)
                 for M in (A, S))
+    A_d, S_d = (0.5 * (M + M.T) for M in (A_d, S_d))
     try:
         mu, V = la.eigh(S_d, A_d + S_d)
     except la.LinAlgError:
@@ -112,7 +116,7 @@ def leading_gen_eig(A: sp.spmatrix, S: sp.spmatrix, k: int):
     S sparse PSD, by shift-invert Lanczos (ARPACK mode 3), for k < n - 1.
 
     The k eigenvalues nu of S v = nu A v nearest SHIFT come from one sparse
-    factorization of S - SHIFT*A.  As in dense_gen_eig, lambda = 1/nu is
+    factorization of S - SHIFT*A.  As in full_gen_eig, lambda = 1/nu is
     non-increasing and the eigenvectors are A-orthonormal columns; the
     S-null modes come first but are not flagged as inf.  The start vector
     and the generator of ARPACK's restarts are seeded, so every call and

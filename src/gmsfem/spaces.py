@@ -1,12 +1,13 @@
 """Per-neighborhood snapshot, offline and online spaces.
 
 Snapshot columns are fine-grid vectors on a local region; the offline and
-online stages each solve a dense generalized eigenproblem of projected
-local forms and keep the dominant eigenvectors.  Fine-grid (identity)
-snapshots are never projected or whitened: their offline stage solves the
-local pencil itself, and drop_tol applies only to the other kinds.
-offline_spaces is the one offline pipeline: snapshots -> forms ->
-build_offline per coarse node.
+online stages each project the local forms onto their columns and keep
+the dominant eigenvectors of the projected pencil, all through one
+reduction (_reduce) on one kernel (solvers.full_gen_eig).  Fine-grid
+snapshots are the sparse identity, so their pencil is the local pencil
+itself; the other kinds' columns can be dependent and are whitened first,
+and drop_tol applies only to them.  offline_spaces is the one offline
+pipeline: snapshots -> forms -> build_offline per coarse node.
 """
 
 from __future__ import annotations
@@ -22,10 +23,10 @@ from .coeff import CoefficientField
 from .fem import assemble_mass, assemble_stiffness
 from .mesh import CoarseMesh, FineMesh, Neighborhood, _box_boundary_nodes
 from .pou import pou_gradient_weight
-from .solvers import (NumericalError, SparseFactor, dense_gen_eig,
-                      full_gen_eig, leading_gen_eig)
+from .solvers import (NumericalError, SparseFactor, full_gen_eig,
+                      leading_gen_eig)
 
-A_FORMS = ("pou_stiffness", "pou_grad_mass", "kappa_mass", "kappa_stiffness")
+A_FORMS = ("pou_stiffness", "pou_grad_mass", "kappa_mass")
 
 
 @dataclass
@@ -65,7 +66,7 @@ class LocalRegion:
 @dataclass
 class SnapshotSpace:
     region: LocalRegion
-    columns: np.ndarray  # (n_local_nodes, M_snap)
+    columns: np.ndarray  # (n_local_nodes, M_snap); sparse for "fine-grid"
     kind: str            # "fine-grid" means the columns are the identity
 
     @property
@@ -120,8 +121,9 @@ def harmonic_snapshots(mesh: FineMesh, region: LocalRegion,
 
 
 def fine_grid_snapshots(region: LocalRegion) -> SnapshotSpace:
-    """All fine nodal functions of the region (identity injection)."""
-    return SnapshotSpace(region=region, columns=np.eye(region.n_nodes),
+    """All fine nodal functions of the region (sparse identity injection)."""
+    return SnapshotSpace(region=region,
+                         columns=sp.identity(region.n_nodes, format="csr"),
                          kind="fine-grid")
 
 
@@ -132,28 +134,24 @@ def spectral_snapshots(A_t: sp.spmatrix, S_t: sp.spmatrix, count: int,
     The count leading eigenvectors (largest lambda, the S_t-null constant
     mode first), A_t-orthonormal.  They come from the sparse shift-invert
     kernel solvers.leading_gen_eig, which needs count < n - 1; a larger
-    count takes every eigenvector of dense_gen_eig.  A kernel failure is
-    a NumericalError naming the region, never a silent dense fallback.
+    count takes every eigenvector of solvers.full_gen_eig.  A kernel
+    failure is a NumericalError naming the region, never a silent fallback.
     """
     n = A_t.shape[0]
     count = min(count, n)
-    if count < n - 1:
-        try:
+    try:
+        if count < n - 1:
             _, vecs = leading_gen_eig(A_t, S_t, count)
-        except NumericalError as exc:
-            raise NumericalError(f"region {region.label}: {exc}") from None
-    else:
-        _, vecs = dense_gen_eig(np.asarray(A_t.todense()),
-                                np.asarray(S_t.todense()))
+        else:
+            _, vecs = full_gen_eig(A_t, S_t)
+    except NumericalError as exc:
+        raise NumericalError(f"region {region.label}: {exc}") from None
     return SnapshotSpace(region=region, columns=vecs[:, :count], kind="local-spectral")
 
 
 def assemble_a_form(mesh: FineMesh, region: LocalRegion, kappa: CoefficientField,
                     a_form: str, pou=None) -> sp.csr_matrix:
     """Local a-form matrix on the region's nodes."""
-    if a_form == "kappa_stiffness":
-        return assemble_stiffness(mesh, kappa, restrict_to=region.nodes,
-                                  cells=region.cells)
     if a_form == "kappa_mass":
         return assemble_mass(mesh, weight=kappa.k11(), restrict_to=region.nodes,
                              cells=region.cells)
@@ -223,32 +221,34 @@ def _select(lams: np.ndarray, count=None, threshold=None) -> int:
     return len(lams)
 
 
-def _selection(lam: np.ndarray, count, threshold, dropped: int,
-               extra=None) -> tuple:
-    """(kept count, ReducedSpace.selection) for a non-increasing spectrum."""
-    L = _select(lam, count=count, threshold=threshold)
-    sel = {"count": count, "threshold": threshold, "kept": L,
-           "dropped_snapshots": dropped}
-    if extra:
-        sel.update(extra)
-    return L, sel
+def _reduce(R, a_mat, s_mat, stage: str, region, count=None, threshold=None,
+            drop_tol=None, selection_extra=None) -> ReducedSpace:
+    """Project (a_mat, s_mat) onto the columns R, solve the projected
+    pencil with solvers.full_gen_eig and keep the dominant eigenvectors.
 
-
-def _reduce(columns: np.ndarray, a_mat, s_mat, stage: str, region,
-            count=None, threshold=None, drop_tol=None, selection_extra=None):
-    R = columns
+    With drop_tol the columns are first whitened in the combined (a+s)
+    inner product, dropping dependent ones.  An a+s that is not positive
+    definite, a kept column without an a-norm, or any other kernel
+    failure raises NumericalError naming the region.
+    """
     A = R.T @ (a_mat @ R)
     S = R.T @ (s_mat @ R)
-    deflated = 0
+    T, dropped = None, 0
     if drop_tol is not None:
-        T, deflated = _orthonormal_transform(A + S, drop_tol)
-        A = T.T @ A @ T
-        S = T.T @ S @ T
-    else:
-        T = np.eye(R.shape[1])
-    lam, vecs = dense_gen_eig(A, S)
-    L, sel = _selection(lam, count, threshold, deflated, selection_extra)
-    return ReducedSpace(region=region, columns=R @ (T @ vecs[:, :L]),
+        T, dropped = _orthonormal_transform(A + S, drop_tol)
+        A, S = T.T @ A @ T, T.T @ S @ T
+    try:
+        lam, vecs = full_gen_eig(A, S)
+    except NumericalError as exc:
+        raise NumericalError(f"region {region.label}: {exc}") from None
+    L = _select(lam, count=count, threshold=threshold)
+    if L and lam[L - 1] == 0.0:
+        raise NumericalError(f"region {region.label}: a kept eigenvector has "
+                             "no a-norm")
+    sel = {"count": count, "threshold": threshold, "kept": L,
+           "dropped_snapshots": dropped, **(selection_extra or {})}
+    kept = vecs[:, :L] if T is None else T @ vecs[:, :L]
+    return ReducedSpace(region=region, columns=R @ kept,
                         eigenvalues=lam, stage=stage, selection=sel)
 
 
@@ -257,30 +257,18 @@ def build_offline(snap: SnapshotSpace, a_mat: sp.spmatrix, s_mat: sp.spmatrix,
     """Project the forms onto the snapshots and keep dominant eigenvectors.
 
     Kept columns are a-orthonormal.  Fine-grid snapshots are the identity,
-    so the local pencil itself is solved, whole spectrum, by
-    solvers.full_gen_eig: nothing is projected or whitened and drop_tol is
-    not used; an a+s that is not positive definite, or a kept column
-    without an a-norm, raises NumericalError naming the region.  The
-    other kinds' columns can be dependent; they are first whitened in the
-    combined (a+s) inner product (drop_tol removes dependent columns),
-    which keeps the projected pencil well conditioned while preserving
-    the s-null modes whose eigenvalues are reported as inf.
+    so the projected pencil is the local pencil itself, whole spectrum,
+    and drop_tol is not used.  The other kinds' columns can be dependent;
+    they are first whitened in the combined (a+s) inner product (drop_tol
+    removes dependent columns), which keeps the projected pencil well
+    conditioned while preserving the s-null modes whose eigenvalues are
+    reported as inf.
     """
-    extra = {"snapshot_kind": snap.kind}
-    if snap.kind != "fine-grid":
-        return _reduce(snap.columns, a_mat, s_mat, "offline", snap.region,
-                       count=count, threshold=threshold, drop_tol=drop_tol,
-                       selection_extra=extra)
-    label = snap.region.label
-    try:
-        lam, vecs = full_gen_eig(a_mat, s_mat)
-    except NumericalError as exc:
-        raise NumericalError(f"region {label}: {exc}") from None
-    L, sel = _selection(lam, count, threshold, 0, extra)
-    if L and lam[L - 1] == 0.0:
-        raise NumericalError(f"region {label}: a kept eigenvector has no a-norm")
-    return ReducedSpace(region=snap.region, columns=vecs[:, :L],
-                        eigenvalues=lam, stage="offline", selection=sel)
+    if snap.kind == "fine-grid":
+        drop_tol = None
+    return _reduce(snap.columns, a_mat, s_mat, "offline", snap.region,
+                   count=count, threshold=threshold, drop_tol=drop_tol,
+                   selection_extra={"snapshot_kind": snap.kind})
 
 
 def build_online(off: ReducedSpace, a_mat: sp.spmatrix, s_mat: sp.spmatrix,

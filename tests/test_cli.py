@@ -115,6 +115,7 @@ def test_offline_requires_count_or_threshold(tmp_path):
     ("fine", 0, "solve"),
     ("bogus", 1, "solve"),
     ("bogus", 1, "offline"),
+    ("a_form", "kappa_stiffness", "solve"),
 ])
 def test_bad_pipeline_key_is_config_error(tmp_path, capsys, key, value,
                                           command):

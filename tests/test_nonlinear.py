@@ -132,8 +132,8 @@ def test_snapshot_eigensolves_stay_sparse(setup, monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(spaces, "dense_gen_eig",
-                        counted("dense", spaces.dense_gen_eig))
+    monkeypatch.setattr(spaces, "full_gen_eig",
+                        counted("dense", spaces.full_gen_eig))
     monkeypatch.setattr(spaces, "leading_gen_eig",
                         counted("sparse", spaces.leading_gen_eig))
     samples = np.linspace(0.0, 2.5, 3)

@@ -14,7 +14,8 @@ from gmsfem.fields import (affine_four_term, channels_and_inclusions,
 from gmsfem.mesh import build_coarse_mesh, build_fine_mesh
 from gmsfem.nonlinear import NonlinearCoefficient
 from gmsfem.pou import multiscale_pou
-from gmsfem.solvers import NumericalError, dense_gen_eig, leading_gen_eig
+from gmsfem.solvers import (NumericalError, dense_gen_eig, full_gen_eig,
+                            leading_gen_eig)
 from gmsfem.spaces import (LocalRegion, SnapshotSpace, assemble_a_form,
                            assemble_s_form, build_offline, build_online,
                            count_unbounded, fine_grid_snapshots,
@@ -66,7 +67,9 @@ def test_fine_grid_snapshots_identity(setup):
     _, _, _, _, region = setup
     snap = fine_grid_snapshots(region)
     assert snap.M_snap == region.n_nodes
-    assert np.array_equal(snap.columns, np.eye(region.n_nodes))
+    # sparse: no n x n dense identity per neighborhood
+    assert snap.columns.nnz == region.n_nodes
+    assert np.array_equal(snap.columns.toarray(), np.eye(region.n_nodes))
 
 
 def _neumann_pencil(fine, region, kappa):
@@ -106,12 +109,11 @@ def test_spectral_snapshots_count(setup):
     assert snap.columns.shape == (region.n_nodes, 6)
     assert snap.kind == "local-spectral"
     _assert_matches_dense_oracle(A_t, S_t, snap.columns)
-    # count >= n - 1 takes the dense path: its columns are dense_gen_eig's
+    # count >= n - 1 takes the dense path: its columns are full_gen_eig's
     corner = LocalRegion.from_neighborhood(coarse.neighborhoods[0])
     assert corner.n_nodes == 36
     A_c, S_c = _neumann_pencil(fine, corner, kappa)
-    _, vecs = dense_gen_eig(np.asarray(A_c.todense()),
-                            np.asarray(S_c.todense()))
+    _, vecs = full_gen_eig(A_c, S_c)
     for count in (35, 36, 40):
         snap = spectral_snapshots(A_c, S_c, count, corner)
         assert np.array_equal(snap.columns, vecs[:, :min(count, 36)])
@@ -160,17 +162,25 @@ def test_spectral_snapshots_fail_loudly(setup, monkeypatch):
         raise AssertionError("silent dense fallback")
 
     monkeypatch.setattr(solvers.spla, "eigsh", no_convergence)
-    monkeypatch.setattr(spaces, "dense_gen_eig", no_dense)
+    monkeypatch.setattr(spaces, "full_gen_eig", no_dense)
     with pytest.raises(NumericalError, match=f"region {region.label}: "):
         spectral_snapshots(A_t, S_t, 6, region)
+
+    # the dense branch (count >= n - 1) names the region too
+    def kernel_error(*args, **kwargs):
+        raise NumericalError("kernel error")
+
+    monkeypatch.setattr(spaces, "full_gen_eig", kernel_error)
+    with pytest.raises(NumericalError,
+                       match=f"region {region.label}: kernel error"):
+        spectral_snapshots(A_t, S_t, region.n_nodes, region)
 
 
 def test_a_form_requires_pou(setup):
     fine, _, kappa, pou, region = setup
     with pytest.raises(ValueError):
         assemble_a_form(fine, region, kappa, "pou_grad_mass", pou=None)
-    for form in ("pou_grad_mass", "pou_stiffness", "kappa_mass",
-                 "kappa_stiffness"):
+    for form in ("pou_grad_mass", "pou_stiffness", "kappa_mass"):
         M = assemble_a_form(fine, region, kappa, form, pou)
         assert M.shape == (region.n_nodes, region.n_nodes)
         d = np.abs((M - M.T)).max()
@@ -302,9 +312,10 @@ def test_fine_offline_finds_one_inf_mode_per_neighborhood(eta):
 
 def test_fine_offline_skips_whitening(setup, monkeypatch):
     # identity snapshots solve the local pencil directly; harmonic
-    # snapshots are still whitened once per node
+    # snapshots are still whitened once per node; both take one kernel
+    # call per node
     _, coarse, kappa, pou, _ = setup
-    calls = {"whiten": 0, "dense": 0}
+    calls = {"whiten": 0, "kernel": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -314,12 +325,21 @@ def test_fine_offline_skips_whitening(setup, monkeypatch):
 
     monkeypatch.setattr(spaces, "_orthonormal_transform",
                         counted("whiten", spaces._orthonormal_transform))
-    monkeypatch.setattr(spaces, "dense_gen_eig",
-                        counted("dense", spaces.dense_gen_eig))
+    monkeypatch.setattr(spaces, "full_gen_eig",
+                        counted("kernel", spaces.full_gen_eig))
     offline_spaces(coarse, kappa, "fine", pou=pou, count=3)
-    assert calls == {"whiten": 0, "dense": 0}
+    assert calls == {"whiten": 0, "kernel": coarse.N_v}
     offline_spaces(coarse, kappa, "harmonic", pou=pou, count=3)
-    assert calls == {"whiten": coarse.N_v, "dense": coarse.N_v}
+    assert calls == {"whiten": coarse.N_v, "kernel": 2 * coarse.N_v}
+
+
+def test_fine_offline_columns_own_their_data():
+    # kept columns are fresh arrays, not views of each node's whole
+    # eigenvector matrix
+    built = [space for space, _ in _fine_offline_at_24_4(1e4, 3)]
+    assert all(space.columns.base is None for space in built)
+    assert sum(space.columns.nbytes for space in built) == sum(
+        space.region.n_nodes * space.dim * 8 for space in built)
 
 
 def test_fine_offline_fails_loudly(setup):
