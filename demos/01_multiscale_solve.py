@@ -29,10 +29,10 @@ basis = build_coarse_basis(coarse, pou, spaces)
 bc = BoundaryCondition(lambda x, y: x + y)
 A = assemble_stiffness(fine, kappa)
 b = assemble_load(fine, 1.0)
-sol = solve_coarse_galerkin(fine, A, b, bc, basis)
+u = solve_coarse_galerkin(fine, A, b, bc, basis)
 
 u_ref, A_k, M_k = solve_fine(fine, kappa, 1.0, bc)
-err = relative_errors(sol.u, u_ref, A_k, M_k)
+err = relative_errors(u, u_ref, A_k, M_k)
 e, l2 = err.as_percent()
 print(f"coarse dim {basis.dim} vs fine dim {fine.n_nodes}")
 print(f"squared relative errors: energy {e:.3f}%, weighted-L2 {l2:.5f}%")

@@ -18,7 +18,7 @@ from gmsfem.fields import affine_four_term
 fine = build_fine_mesh(40, 40)
 coarse = build_coarse_mesh(fine, 4, 4)
 aff = affine_four_term(fine, eta=1e3)
-print(f"affine coefficient with {aff.Q} terms, parameter box "
+print(f"affine coefficient with {len(aff.fields)} terms, parameter box "
       f"[{aff.box[0, 0]:g}, {aff.box[0, 1]:g}]^4")
 
 # offline: one basis at the box midpoint
@@ -27,7 +27,7 @@ pou = multiscale_pou(coarse, k_mid)
 spaces = offline_spaces(coarse, k_mid, "fine", pou=pou, count=4)
 basis = build_coarse_basis(coarse, pou, spaces)
 op = build_affine_operator(fine, aff, basis)
-print(f"precomputed {aff.Q} coarse blocks of size {basis.dim}x{basis.dim}")
+print(f"precomputed {len(op.blocks)} coarse blocks of size {basis.dim}x{basis.dim}")
 
 # online: sweep many parameters reusing the blocks
 rng = np.random.default_rng(0)

@@ -11,7 +11,7 @@ import numpy as np
 from gmsfem import BoundaryCondition, multiscale_pou, picard_solve
 from gmsfem.fields import channels_and_inclusions, channels_and_inclusions_alt
 from gmsfem.mesh import build_coarse_mesh, build_fine_mesh
-from gmsfem.nonlinear import NonlinearCoefficient
+from gmsfem.nonlinear import NonlinearCoefficient, build_nonlinear_offline
 
 fine = build_fine_mesh(40, 40)
 coarse = build_coarse_mesh(fine, 4, 4)
@@ -23,8 +23,9 @@ bc = BoundaryCondition(lambda x, y: x + y)
 samples = np.linspace(0.0, 2.5, 6)
 pou = multiscale_pou(coarse, nl.at_value(samples.mean()))
 
-state = picard_solve(coarse, nl, 1.0, bc, pou, samples,
-                     snap_per_sample=6, offline_count=6)
+# 6 spectral snapshots per sample, 6 offline modes per neighborhood
+offline = build_nonlinear_offline(coarse, nl, samples, 6, 6)
+state = picard_solve(coarse, nl, 1.0, bc, pou, samples, offline)
 print(f"converged: {state.converged} in {state.iterations} iterations")
 print(f"coarse dim {state.dims}, lambda* {state.lambda_star:.3e}")
 print("relative update per iteration:")

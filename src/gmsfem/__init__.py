@@ -15,7 +15,7 @@ from .spaces import (LocalRegion, SnapshotSpace, ReducedSpace,
                      harmonic_snapshots, fine_grid_snapshots,
                      spectral_snapshots, build_offline, build_online,
                      offline_spaces, truncate, count_unbounded)
-from .coupling import (CoarseBasis, CoarseSolution, build_coarse_basis,
+from .coupling import (CoarseBasis, build_coarse_basis,
                        solve_coarse_galerkin, solve_fine,
                        build_affine_operator)
 from .solvers import (NumericalError, dense_gen_eig, SparseFactor, pcg,

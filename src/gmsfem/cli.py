@@ -209,14 +209,14 @@ def cmd_snapshots(args) -> int:
 
 
 def _solve(cfg: dict, workers: int) -> tuple:
-    """(pou, basis, coarse solution, errors) of a pipeline config."""
+    """(pou, basis, coarse solution u, errors) of a pipeline config."""
     bc = _bc_from_config(cfg)
     f = float(_number(cfg.get("source", 1.0), "source"))
     fine, kappa, pou, _, spaces = _offline_stage(cfg, workers)
     basis = build_coarse_basis(pou.coarse, pou, spaces)
     u_ref, A, M = solve_fine(fine, kappa, f, bc)
-    sol = solve_coarse_galerkin(fine, A, assemble_load(fine, f), bc, basis)
-    return pou, basis, sol, relative_errors(sol.u, u_ref, A, M)
+    u = solve_coarse_galerkin(fine, A, assemble_load(fine, f), bc, basis)
+    return pou, basis, u, relative_errors(u, u_ref, A, M)
 
 
 def cmd_offline(args) -> int:
@@ -253,11 +253,11 @@ def cmd_online(args) -> int:
 
 def cmd_solve(args) -> int:
     cfg = _load_config(args.config, PIPELINE_KEYS)
-    _, basis, sol, err = _solve(cfg, args.workers)
+    _, basis, u, err = _solve(cfg, args.workers)
     e, l2 = err.as_percent()
     print(f"coarse dim {basis.dim}, energy {e:.4f}%, weighted-l2 {l2:.6f}%")
     if args.out:
-        np.savetxt(args.out, sol.u, fmt="%.17g")
+        np.savetxt(args.out, u, fmt="%.17g")
         print(f"wrote {args.out}")
     return 0
 

@@ -61,55 +61,32 @@ class ParameterPoint:
             raise ValueError(f"parameter {self.mu} outside box {self.box.tolist()}")
 
 
-def _theta_value(desc, mu: np.ndarray) -> float:
-    """Evaluate one parameter-function descriptor at mu.
-
-    Descriptors: ('const', c), ('mu', j), ('one_minus_mu', j), ('exp', alpha, j).
-    """
-    kind = desc[0]
-    if kind == "const":
-        return float(desc[1])
-    if kind == "mu":
-        return float(mu[desc[1]])
-    if kind == "one_minus_mu":
-        return 1.0 - float(mu[desc[1]])
-    if kind == "exp":
-        return float(np.exp(desc[1] * mu[desc[2]]))
-    raise ValueError(f"unknown parameter-function descriptor {desc!r}")
-
-
 @dataclass
 class AffineCoefficient:
-    """kappa(x; mu) = sum_q Theta_q(mu) kappa_q(x)."""
+    """kappa(x; mu) = sum_q mu_q kappa_q(x), mu in the box."""
 
-    terms: list  # of (theta descriptor, CoefficientField)
+    fields: list  # one CoefficientField per parameter
     box: np.ndarray
 
     def __post_init__(self):
-        if len(self.terms) < 1:
+        if len(self.fields) < 1:
             raise ValueError("need at least one affine term")
         self.box = np.atleast_2d(np.asarray(self.box, dtype=float))
-        shapes = {t[1].values.shape for t in self.terms}
+        if self.box.shape != (len(self.fields), 2):
+            raise ValueError("box must have one (lo, hi) row per field")
+        shapes = {f.values.shape for f in self.fields}
         if len(shapes) != 1:
             raise ValueError("all affine terms must share one field shape")
-
-    @property
-    def Q(self) -> int:
-        return len(self.terms)
 
     def parameter(self, mu) -> ParameterPoint:
         return ParameterPoint(mu=np.asarray(mu, dtype=float), box=self.box)
 
-    def thetas(self, mu: ParameterPoint) -> np.ndarray:
-        return np.array([_theta_value(d, mu.mu) for d, _ in self.terms])
-
 
 def evaluate(aff: AffineCoefficient, mu: ParameterPoint) -> CoefficientField:
     """Evaluate the affine sum at an admissible mu, checking positivity."""
-    thetas = aff.thetas(mu)
-    out = np.zeros_like(aff.terms[0][1].values)
-    for th, (_, f) in zip(thetas, aff.terms):
-        out = out + th * f.values
+    out = np.zeros_like(aff.fields[0].values)
+    for m, f in zip(mu.mu, aff.fields):
+        out = out + m * f.values
     if np.any(out <= 0.0):
         bad = int(np.argwhere(out <= 0.0)[0][0])
         raise ValueError(

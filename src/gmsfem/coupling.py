@@ -108,49 +108,40 @@ def coarse_dirichlet_lift(basis: CoarseBasis, bc: BoundaryCondition) -> np.ndarr
     return lift
 
 
-@dataclass
-class CoarseSolution:
-    u: np.ndarray             # full fine-grid solution (lift included)
-    coefficients: np.ndarray  # coarse dofs
-    basis: CoarseBasis
-
-
 def solve_coarse_galerkin(mesh: FineMesh, A: sp.csr_matrix, b: np.ndarray,
-                          bc: BoundaryCondition, basis: CoarseBasis) -> CoarseSolution:
+                          bc: BoundaryCondition, basis: CoarseBasis) -> np.ndarray:
     """Galerkin projection of the fine system onto the coarse basis.
 
     Boundary data is carried by the coarse POU lift, so the coarse space
-    only has to correct the interior.
+    only has to correct the interior.  Returns the fine-grid solution,
+    lift included.
     """
     fr = free_nodes(mesh)
     lift = coarse_dirichlet_lift(basis, bc)
     A_ff = A[fr][:, fr].tocsr()
     b_f = (b - A @ lift)[fr]
     P_ff = basis.P[fr]
-    uc = None
+    u = lift.copy()
     if basis.dim <= len(fr):
         Ac = np.asarray((P_ff.T @ (A_ff @ P_ff)).todense())
         Ac = 0.5 * (Ac + Ac.T)
         rhs = P_ff.T @ b_f
         try:
-            uc = la.cho_solve(la.cho_factor(Ac), rhs)
+            u[fr] += P_ff @ la.cho_solve(la.cho_factor(Ac), rhs)
+            return u
         except la.LinAlgError:
             warnings.warn("coarse basis is rank deficient; compressing it "
                           "by pivoted QR", RuntimeWarning)
-    if uc is None:
-        # overlapping local spaces can make the global basis dependent; the
-        # Galerkin solution is still unique on the span, so solve in an
-        # orthonormal basis of the span and map the dofs back
-        uc = _solve_compressed(np.asarray(P_ff.todense()), A_ff, b_f, basis.dim)
-    u = lift.copy()
-    u[fr] += P_ff @ uc
-    return CoarseSolution(u=u, coefficients=uc, basis=basis)
+    # overlapping local spaces can make the global basis dependent; the
+    # Galerkin solution is still unique on the span, so solve in an
+    # orthonormal basis of the span
+    u[fr] += _solve_compressed(np.asarray(P_ff.todense()), A_ff, b_f)
+    return u
 
 
-def _solve_compressed(P: np.ndarray, A_ff, b_f: np.ndarray,
-                      dim: int) -> np.ndarray:
-    """Galerkin dofs through a column-pivoted QR of the basis."""
-    Q, R, piv = la.qr(P, mode="economic", pivoting=True)
+def _solve_compressed(P: np.ndarray, A_ff, b_f: np.ndarray) -> np.ndarray:
+    """Galerkin correction in span(P), through a column-pivoted QR of P."""
+    Q, R, _ = la.qr(P, mode="economic", pivoting=True)
     diag = np.abs(np.diag(R))
     r = int(np.sum(diag > RANK_TOL * max(diag[0], np.finfo(float).tiny)))
     if r == 0:
@@ -158,23 +149,17 @@ def _solve_compressed(P: np.ndarray, A_ff, b_f: np.ndarray,
     Q = Q[:, :r]
     Ar = Q.T @ (A_ff @ Q)
     w = la.cho_solve(la.cho_factor(0.5 * (Ar + Ar.T)), Q.T @ b_f)
-    uc = np.zeros(dim)
-    uc[piv[:r]] = la.solve_triangular(R[:r, :r], w, lower=False)
-    return uc
+    return Q @ w
 
 
 @dataclass
 class AffineOperator:
     """Precomputed coarse blocks P' A_q P for fast mu sweeps."""
 
-    aff: AffineCoefficient
-    basis: CoarseBasis
-    free: np.ndarray
     blocks: list        # dense (dim, dim) per affine term
 
     def coarse_matrix(self, mu: ParameterPoint) -> np.ndarray:
-        th = self.aff.thetas(mu)
-        return sum(t * B for t, B in zip(th, self.blocks))
+        return sum(m * B for m, B in zip(mu.mu, self.blocks))
 
 
 def build_affine_operator(mesh: FineMesh, aff: AffineCoefficient,
@@ -182,10 +167,10 @@ def build_affine_operator(mesh: FineMesh, aff: AffineCoefficient,
     fr = free_nodes(mesh)
     P_ff = basis.P[fr]
     blocks = []
-    for _, f in aff.terms:
+    for f in aff.fields:
         A_ff = assemble_stiffness(mesh, f)[fr][:, fr].tocsr()
         blocks.append(np.asarray((P_ff.T @ (A_ff @ P_ff)).todense()))
-    return AffineOperator(aff=aff, basis=basis, free=fr, blocks=blocks)
+    return AffineOperator(blocks=blocks)
 
 
 def solve_fine(mesh: FineMesh, kappa: CoefficientField, f, bc: BoundaryCondition):

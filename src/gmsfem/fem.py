@@ -133,20 +133,16 @@ def assemble_mass(mesh: FineMesh, weight=None,
 
 
 def assemble_load(mesh: FineMesh, f) -> np.ndarray:
-    """Load vector for cellwise-constant f (scalar, per-cell array, or f(x, y))."""
+    """Load vector for cellwise-constant f (scalar or per-cell array)."""
     tris = np.arange(2 * mesh.n_cells)
     _, _, area = _triangle_geometry(mesh, tris)
-    if callable(f):
-        centers = mesh.node_coords[mesh.triangles].mean(axis=1)
-        fv = np.asarray(f(centers[:, 0], centers[:, 1]), dtype=float)
+    fv = np.asarray(f, dtype=float)
+    if fv.ndim == 0:
+        fv = np.full(len(tris), float(fv))
+    elif len(fv) == mesh.n_cells:
+        fv = fv[tris // 2]
     else:
-        fv = np.asarray(f, dtype=float)
-        if fv.ndim == 0:
-            fv = np.full(len(tris), float(fv))
-        elif len(fv) == mesh.n_cells:
-            fv = fv[tris // 2]
-        elif len(fv) != len(tris):
-            raise ValueError("f must be scalar, per-cell, or per-triangle")
+        raise ValueError("f must be scalar or per-cell")
     contrib = (fv * area / 3.0)
     b = np.zeros(mesh.n_nodes)
     np.add.at(b, mesh.triangles.ravel(), np.repeat(contrib, 3))

@@ -72,12 +72,10 @@ def affine_four_term(fine: FineMesh, eta: float) -> AffineCoefficient:
         [(0.00, 0.50, 0.70, 0.74), (0.60, 0.64, 0.50, 0.90), (0.14, 0.20, 0.84, 0.90)],
         [(0.50, 1.00, 0.70, 0.74), (0.84, 0.90, 0.80, 0.86)],
     ]
-    terms = []
-    for q, coords in enumerate(pieces):
-        f = generate_inclusions_channels(fine, _boxes(fine, coords), eta)
-        terms.append((("mu", q), f))
+    fields = [generate_inclusions_channels(fine, _boxes(fine, coords), eta)
+              for coords in pieces]
     box = np.tile([1e-4, 1.0], (4, 1))
-    return AffineCoefficient(terms=terms, box=box)
+    return AffineCoefficient(fields=fields, box=box)
 
 
 def anisotropic_pair(fine: FineMesh, eta: float) -> tuple:

@@ -159,11 +159,9 @@ class CoarseMesh:
     def coarse_node_ij(self, i: int):
         return i % (self.Nx + 1), i // (self.Nx + 1)
 
-    def block_cell_box(self, bi: int, bj: int) -> tuple:
-        return (bi * self.mx, (bi + 1) * self.mx, bj * self.my, (bj + 1) * self.my)
-
     def block_node_box(self, K: int) -> tuple:
-        """Node-index box (ix0, ix1, iy0, iy1) of coarse cell K (row-major)."""
+        """Box (ix0, ix1, iy0, iy1) of coarse cell K (row-major): the closed
+        node box of its fine nodes and the half-open cell box of its cells."""
         bi, bj = K % self.Nx, K // self.Nx
         return (bi * self.mx, (bi + 1) * self.mx, bj * self.my, (bj + 1) * self.my)
 
@@ -235,8 +233,6 @@ def build_coarse_mesh(fine: FineMesh, Nx: int, Ny: int) -> CoarseMesh:
 class OverlapDecomposition:
     """Coarse blocks padded by delta fine-cell layers, clipped at the domain."""
 
-    coarse: CoarseMesh
-    delta_layers: int
     cell_boxes: list
     subdomain_nodes: list   # all nodes of each padded box
     interior_nodes: list    # nodes with zero trace on the padded box boundary
@@ -248,17 +244,15 @@ def build_overlap(coarse: CoarseMesh, delta_layers: int = 1) -> OverlapDecomposi
         raise ValueError(f"delta_layers must be >= 1, got {delta_layers}")
     fine = coarse.fine
     boxes, nodes, interiors = [], [], []
-    for bj in range(coarse.Ny):
-        for bi in range(coarse.Nx):
-            cx0, cx1, cy0, cy1 = coarse.block_cell_box(bi, bj)
-            box = (
-                max(cx0 - delta_layers, 0), min(cx1 + delta_layers, fine.nx),
-                max(cy0 - delta_layers, 0), min(cy1 + delta_layers, fine.ny),
-            )
-            boxes.append(box)
-            nodes.append(fine.nodes_in_cell_box(*box))
-            interiors.append(fine.interior_nodes_of_cell_box(*box))
+    for K in range(coarse.n_blocks):
+        cx0, cx1, cy0, cy1 = coarse.block_node_box(K)
+        box = (
+            max(cx0 - delta_layers, 0), min(cx1 + delta_layers, fine.nx),
+            max(cy0 - delta_layers, 0), min(cy1 + delta_layers, fine.ny),
+        )
+        boxes.append(box)
+        nodes.append(fine.nodes_in_cell_box(*box))
+        interiors.append(fine.interior_nodes_of_cell_box(*box))
     return OverlapDecomposition(
-        coarse=coarse, delta_layers=delta_layers,
         cell_boxes=boxes, subdomain_nodes=nodes, interior_nodes=interiors,
     )

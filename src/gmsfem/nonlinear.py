@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coeff import CoefficientField
-from .fem import BoundaryCondition, assemble_load, assemble_mass, assemble_stiffness
+from .fem import BoundaryCondition, assemble_load, assemble_stiffness
 from .mesh import CoarseMesh
 from .coupling import build_coarse_basis, solve_coarse_galerkin
 from .solvers import NumericalError
@@ -45,13 +45,14 @@ class NonlinearCoefficient:
 
 
 def _averages(fine, u: np.ndarray, cell_sets) -> np.ndarray:
-    """Mass-weighted average of u over each set of fine cells."""
-    ones = np.ones(fine.n_nodes)
-    out = []
-    for cells in cell_sets:
-        m = assemble_mass(fine, cells=cells) @ ones
-        out.append(float(u @ m) / float(ones @ m))
-    return np.array(out)
+    """Area-weighted average of u over each set of fine cells.
+
+    The P1 mean of u over a triangle is the mean of its three nodal
+    values; a cell's two triangles have equal area, and so do all cells.
+    """
+    tri = u[fine.triangles].mean(axis=1)
+    cell_mean = 0.5 * (tri[0::2] + tri[1::2])
+    return np.array([cell_mean[cells].mean() for cells in cell_sets])
 
 
 def block_averages(coarse: CoarseMesh, u: np.ndarray) -> np.ndarray:
@@ -82,7 +83,6 @@ class PicardState:
     updates: list           # relative update sizes per iteration
     dims: int               # coarse space dimension
     lambda_star: float
-    sample_values: np.ndarray
 
 
 def build_nonlinear_offline(coarse: CoarseMesh, nl: NonlinearCoefficient,
@@ -104,27 +104,20 @@ def build_nonlinear_offline(coarse: CoarseMesh, nl: NonlinearCoefficient,
 
 def picard_solve(coarse: CoarseMesh, nl: NonlinearCoefficient, f,
                  bc: BoundaryCondition, pou, sample_values: np.ndarray,
-                 snap_per_sample: int = 8, offline_count: int = 10,
-                 tol: float = 1e-6, max_it: int = 20,
-                 offline: dict = None) -> PicardState:
+                 offline: dict, tol: float = 1e-6,
+                 max_it: int = 20) -> PicardState:
     """Fixed-point iteration with a blockwise-frozen conductivity.
 
     The initial iterate is the linear solve at the sample midpoint.  Each
     step freezes the exponent at the block averages of the previous
     iterate (the online spaces use the neighborhood averages), and solves
     the coarse Galerkin system; convergence is a relative update below
-    tol in the unit-coefficient energy norm.
-
-    offline is a prebuilt offline space (as from build_nonlinear_offline
-    over the same sample_values); without it one is built here from
-    snap_per_sample and offline_count, which are otherwise unused.
+    tol in the unit-coefficient energy norm.  offline is the offline
+    space, as from build_nonlinear_offline over the same sample_values.
     """
     sample_values = np.asarray(sample_values, dtype=float)
     lo, hi = sample_values.min(), sample_values.max()
     fine = coarse.fine
-    if offline is None:
-        offline = build_nonlinear_offline(coarse, nl, sample_values,
-                                          snap_per_sample, offline_count)
     A1 = assemble_stiffness(fine, CoefficientField(np.ones(fine.n_cells)))
     b = assemble_load(fine, f)
 
@@ -149,24 +142,22 @@ def picard_solve(coarse: CoarseMesh, nl: NonlinearCoefficient, f,
         kappa = nl.at_value(mu_cells)
         basis = build_basis(node_mu)
         A = assemble_stiffness(fine, kappa)
-        sol = solve_coarse_galerkin(fine, A, b, bc, basis)
-        return sol, basis
+        return solve_coarse_galerkin(fine, A, b, bc, basis), basis
 
     mid = 0.5 * (lo + hi)
-    sol, basis = step(np.full(fine.n_nodes, mid))
-    u = sol.u
+    u, basis = step(np.full(fine.n_nodes, mid))
     updates = []
     grow = 0
     for it in range(1, max_it + 1):
-        sol, basis = step(u)
-        d = sol.u - u
-        denom = float(sol.u @ (A1 @ sol.u))
+        u_new, basis = step(u)
+        d = u_new - u
+        denom = float(u_new @ (A1 @ u_new))
         upd = np.sqrt(float(d @ (A1 @ d)) / denom) if denom > 0 else 0.0
         updates.append(upd)
-        u = sol.u
+        u = u_new
         if upd <= tol:
             return PicardState(True, it, u, updates, basis.dim,
-                               basis.lambda_star(), sample_values)
+                               basis.lambda_star())
         if len(updates) > 1 and upd > updates[-2]:
             grow += 1
             if grow >= 3:
@@ -176,4 +167,4 @@ def picard_solve(coarse: CoarseMesh, nl: NonlinearCoefficient, f,
         else:
             grow = 0
     return PicardState(False, max_it, u, updates, basis.dim,
-                       basis.lambda_star(), sample_values)
+                       basis.lambda_star())

@@ -93,9 +93,8 @@ def multiscale_pou(coarse: CoarseMesh, kappa: CoefficientField) -> PartitionOfUn
         bnd = np.setdiff1d(nodes, interior, assume_unique=True)
         cells = fine.cells_in_box(*box)
         A = assemble_stiffness(fine, kappa, restrict_to=nodes, cells=cells)
-        lut = {n: k for k, n in enumerate(nodes)}
-        li = np.array([lut[n] for n in interior], dtype=np.int64)
-        lb = np.array([lut[n] for n in bnd], dtype=np.int64)
+        li = fine.box_position(box, interior)
+        lb = fine.box_position(box, bnd)
         lu = SparseFactor(A[li][:, li])
         bi, bj = K % coarse.Nx, K // coarse.Nx
         corners = [coarse.coarse_node_id(bi + di, bj + dj)

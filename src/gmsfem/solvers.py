@@ -147,7 +147,6 @@ class SparseFactor:
             self._lu = spla.splu(A)
         except RuntimeError as exc:
             raise NumericalError(f"sparse factorization failed: {exc}") from None
-        self.shape = A.shape
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         return self._lu.solve(np.asarray(b, dtype=float))
@@ -181,18 +180,18 @@ def _lanczos_condition(alphas, betas) -> tuple:
     return float(ev[-1] / lo), float(ev[0]), float(ev[-1])
 
 
-def pcg(A, b: np.ndarray, M_inv=None, tol: float = 1e-10, max_it: int = 1000,
-        x0=None):
+def pcg(A, b: np.ndarray, M_inv=None, tol: float = 1e-10, max_it: int = 1000):
     """Preconditioned CG on an SPD system.
 
     A is a sparse matrix or a callable v -> Av; M_inv a callable applying
-    the preconditioner (identity when None).  Convergence is measured in
-    the relative preconditioned residual sqrt(r'z)/sqrt(r0'z0).
+    the preconditioner (identity when None).  The iteration starts from
+    zero; convergence is measured in the relative preconditioned residual
+    sqrt(r'z)/sqrt(r0'z0).
     """
     matvec = A if callable(A) else (lambda v: A @ v)
     prec = M_inv if M_inv is not None else (lambda v: v)
-    x = np.zeros_like(b) if x0 is None else np.array(x0, dtype=float)
-    r = b - matvec(x) if x0 is not None else b.copy()
+    x = np.zeros_like(b)
+    r = b.copy()
     z = prec(r)
     rz = float(r @ z)
     if rz < 0:
@@ -263,8 +262,7 @@ def build_two_level(A_ff: sp.csr_matrix, P_ff: sp.csr_matrix,
     in the same row ordering, sub_interior_indices the per-subdomain index
     arrays into that ordering.
     """
-    S0 = np.asarray((P_ff.T @ (A_ff @ P_ff)).todense()) if sp.issparse(P_ff) \
-        else P_ff.T @ (A_ff @ P_ff)
+    S0 = np.asarray((P_ff.T @ (A_ff @ P_ff)).todense())
     S0 = 0.5 * (S0 + S0.T)
     try:
         c0 = la.cho_factor(S0)

@@ -55,9 +55,7 @@ class LocalRegion:
         return len(self.nodes)
 
     def local_index(self, mesh: FineMesh, nodes: np.ndarray) -> np.ndarray:
-        lut = np.full(mesh.n_nodes, -1, dtype=np.int64)
-        lut[self.nodes] = np.arange(self.n_nodes)
-        out = lut[nodes]
+        out = mesh.box_position(self.cell_box, np.asarray(nodes))
         if np.any(out < 0):
             raise ValueError("nodes outside the region")
         return out
@@ -222,7 +220,7 @@ def _select(lams: np.ndarray, count=None, threshold=None) -> int:
 
 
 def _reduce(R, a_mat, s_mat, stage: str, region, count=None, threshold=None,
-            drop_tol=None, selection_extra=None) -> ReducedSpace:
+            drop_tol=None) -> ReducedSpace:
     """Project (a_mat, s_mat) onto the columns R, solve the projected
     pencil with solvers.full_gen_eig and keep the dominant eigenvectors.
 
@@ -246,7 +244,7 @@ def _reduce(R, a_mat, s_mat, stage: str, region, count=None, threshold=None,
         raise NumericalError(f"region {region.label}: a kept eigenvector has "
                              "no a-norm")
     sel = {"count": count, "threshold": threshold, "kept": L,
-           "dropped_snapshots": dropped, **(selection_extra or {})}
+           "dropped_snapshots": dropped}
     kept = vecs[:, :L] if T is None else T @ vecs[:, :L]
     return ReducedSpace(region=region, columns=R @ kept,
                         eigenvalues=lam, stage=stage, selection=sel)
@@ -266,9 +264,10 @@ def build_offline(snap: SnapshotSpace, a_mat: sp.spmatrix, s_mat: sp.spmatrix,
     """
     if snap.kind == "fine-grid":
         drop_tol = None
-    return _reduce(snap.columns, a_mat, s_mat, "offline", snap.region,
-                   count=count, threshold=threshold, drop_tol=drop_tol,
-                   selection_extra={"snapshot_kind": snap.kind})
+    space = _reduce(snap.columns, a_mat, s_mat, "offline", snap.region,
+                    count=count, threshold=threshold, drop_tol=drop_tol)
+    space.selection["snapshot_kind"] = snap.kind
+    return space
 
 
 def build_online(off: ReducedSpace, a_mat: sp.spmatrix, s_mat: sp.spmatrix,

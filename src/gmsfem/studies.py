@@ -129,8 +129,8 @@ def _ladder(coarse, kappa, counts: dict, extra: int, snapshot_kind: str,
         spaces = {i: truncate(s, min(counts[i] + k, s.dim))
                   for i, s in top.items()}
         basis = build_coarse_basis(coarse, pou, spaces)
-        sol = solve_coarse_galerkin(fine, A, b, BC_LINEAR, basis)
-        out.append((basis, relative_errors(sol.u, u_ref, A, M)))
+        u = solve_coarse_galerkin(fine, A, b, BC_LINEAR, basis)
+        out.append((basis, relative_errors(u, u_ref, A, M)))
     return out
 
 
@@ -181,8 +181,9 @@ def detect_mode_counts(coarse, field_at, workers: int = 1) -> dict:
     spectra = {}
     for eta in (ETA_HI, ETA_LO):
         kappa = field_at(eta)
+        # only the spectra are read, and they are whole whatever the count
         spaces = offline_spaces(coarse, kappa, "fine",
-                                pou=multiscale_pou(coarse, kappa),
+                                pou=multiscale_pou(coarse, kappa), count=1,
                                 workers=workers)
         spectra[eta] = {i: s.eigenvalues for i, s in spaces.items()}
     counts = {}
@@ -268,8 +269,8 @@ def run_parametric_study(fine_n: int = 100, coarse_n: int = 10,
             spaces = {i: build_online(off, *star[i], count=min(L, off.dim))
                       for i, off in offline.items()}
             basis = build_coarse_basis(coarse, pou, spaces)
-            sol = solve_coarse_galerkin(fine, A_k, b, BC_LINEAR, basis)
-            err = relative_errors(sol.u, u_ref, A_k, M_k)
+            u = solve_coarse_galerkin(fine, A_k, b, BC_LINEAR, basis)
+            err = relative_errors(u, u_ref, A_k, M_k)
             e, l2 = err.as_percent()
             rows.append([n_rb, f"+{k}", basis.dim, _fmt(basis.lambda_star()),
                          _fmt(e), _fmt(l2), h])

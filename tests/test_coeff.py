@@ -6,7 +6,7 @@ import pytest
 from gmsfem.coeff import (AffineCoefficient, CoefficientField, ParameterPoint,
                           anisotropic_from_scalar, cell_box_from_coords,
                           evaluate, generate_inclusions_channels, read_field,
-                          write_field, _theta_value)
+                          write_field)
 from gmsfem.mesh import build_fine_mesh
 
 
@@ -37,46 +37,32 @@ def test_parameter_point_box_check():
         ParameterPoint(mu=[0.5], box=box)
 
 
-def test_theta_descriptors():
-    mu = np.array([0.25, 0.5])
-    assert _theta_value(("const", 3.0), mu) == 3.0
-    assert _theta_value(("mu", 1), mu) == 0.5
-    assert _theta_value(("one_minus_mu", 0), mu) == 0.75
-    assert _theta_value(("exp", 2.0, 0), mu) == pytest.approx(np.exp(0.5))
-    with pytest.raises(ValueError):
-        _theta_value(("spline", 0), mu)
-
-
 def test_affine_evaluate_matches_manual_sum():
     rng = np.random.default_rng(7)
     f1 = CoefficientField(rng.uniform(1.0, 2.0, 10))
     f2 = CoefficientField(rng.uniform(1.0, 2.0, 10))
-    aff = AffineCoefficient(
-        terms=[(("mu", 0), f1), (("one_minus_mu", 0), f2)],
-        box=np.array([[0.0, 1.0]]))
-    mu = aff.parameter([0.3])
+    aff = AffineCoefficient(fields=[f1, f2], box=np.array([[0.0, 1.0]] * 2))
+    mu = aff.parameter([0.3, 0.7])
     got = evaluate(aff, mu)
     want = 0.3 * f1.values + 0.7 * f2.values
     assert np.allclose(got.values, want, rtol=0, atol=1e-15)
-    assert aff.Q == 2
-    assert np.allclose(aff.thetas(mu), [0.3, 0.7])
 
 
 def test_affine_evaluate_rejects_nonpositive():
     f = CoefficientField(np.ones(4))
-    aff = AffineCoefficient(
-        terms=[(("const", 1.0), f), (("const", -2.0), f)],
-        box=np.array([[0.0, 1.0]]))
+    aff = AffineCoefficient(fields=[f, f], box=np.array([[0.0, 1.0], [-2.0, 1.0]]))
     with pytest.raises(ValueError):
-        evaluate(aff, aff.parameter([0.5]))
+        evaluate(aff, aff.parameter([1.0, -2.0]))
 
 
 def test_affine_shape_mismatch():
     with pytest.raises(ValueError):
         AffineCoefficient(
-            terms=[(("const", 1.0), CoefficientField(np.ones(4))),
-                   (("const", 1.0), CoefficientField(np.ones(5)))],
-            box=np.array([[0.0, 1.0]]))
+            fields=[CoefficientField(np.ones(4)), CoefficientField(np.ones(5))],
+            box=np.array([[0.0, 1.0]] * 2))
+    with pytest.raises(ValueError):
+        AffineCoefficient(fields=[CoefficientField(np.ones(4))],
+                          box=np.array([[0.0, 1.0]] * 2))
 
 
 def test_generate_inclusions_channels():

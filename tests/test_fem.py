@@ -93,8 +93,6 @@ def test_load_vector():
     per_cell = np.full(mesh.n_cells, 3.0)
     b2 = assemble_load(mesh, per_cell)
     assert b2.sum() == pytest.approx(3.0, rel=1e-14)
-    b3 = assemble_load(mesh, lambda x, y: np.ones_like(x))
-    assert np.allclose(b3, assemble_load(mesh, 1.0))
     with pytest.raises(ValueError):
         assemble_load(mesh, np.ones(7))
 

@@ -36,12 +36,22 @@ def _sources(node) -> list:
     return [a.name for a in node.names]
 
 
+def _covered(node) -> list:
+    """The modules a top-level import makes available: its sources, and
+    for `from pkg import mod` also `pkg.mod`."""
+    if isinstance(node, ast.Import):
+        return _sources(node)
+    base = _sources(node)[0]
+    sep = "" if base.endswith(".") else "."
+    return [base] + [base + sep + a.name for a in node.names]
+
+
 def late_imports(source: str) -> list:
     """Modules imported inside a function and also at top level."""
     tree = ast.parse(source)
     imports = (ast.Import, ast.ImportFrom)
     top = {m for node in tree.body if isinstance(node, imports)
-           for m in _sources(node)}
+           for m in _covered(node)}
     late = []
     for fn in ast.walk(tree):
         if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -64,6 +74,11 @@ def test_scan_finds_a_late_import():
     src = ("import os\nfrom .a import b\n"
            "def f():\n    import os\n    from .a import c\n    from .d import e\n")
     assert late_imports(src) == [".a", "os"]
+    # a top-level `from pkg import mod` covers pkg.mod
+    src = ("from pkg import mod\nfrom . import b\n"
+           "def f():\n    import pkg.mod\n    from pkg.mod import x\n"
+           "    from .b import c\n")
+    assert late_imports(src) == [".b", "pkg.mod", "pkg.mod"]
 
 
 @pytest.mark.parametrize("path", MODULES + TESTS, ids=lambda p: p.name)

@@ -16,6 +16,7 @@ from gmsfem.nonlinear import (NonlinearCoefficient, block_averages,
                               build_nonlinear_offline, cellwise_parameter,
                               node_averages, picard_solve)
 from gmsfem.pou import multiscale_pou
+from gmsfem.spaces import build_online
 from gmsfem.studies import fine_picard_reference
 
 BC = BoundaryCondition(lambda x, y: x + y)
@@ -59,6 +60,24 @@ def test_averages_of_constant(setup):
     assert np.allclose(node_averages(coarse, u), 3.5, atol=1e-12)
 
 
+def test_averages_match_the_mass_matrix_formula(setup):
+    # the average over a cell set S is u @ (M_S 1) / (1' M_S 1)
+    fine, coarse, _ = setup
+    x, y = fine.node_coords.T
+    u = np.sin(3.0 * x) * np.exp(y) + x * y ** 2
+    ones = np.ones(fine.n_nodes)
+
+    def mass_average(cells):
+        m = assemble_mass(fine, cells=cells) @ ones
+        return float(u @ m) / float(ones @ m)
+
+    blocks = [mass_average(fine.cells_in_box(*coarse.block_node_box(K)))
+              for K in range(coarse.n_blocks)]
+    nodes = [mass_average(nb.cells) for nb in coarse.neighborhoods]
+    assert np.allclose(block_averages(coarse, u), blocks, rtol=1e-13, atol=0)
+    assert np.allclose(node_averages(coarse, u), nodes, rtol=1e-13, atol=0)
+
+
 def test_cellwise_parameter_scatter(setup):
     fine, coarse, _ = setup
     vals = np.arange(float(coarse.n_blocks))
@@ -80,13 +99,11 @@ def test_alpha_zero_is_bit_exact_linear(setup):
     samples = np.linspace(0.0, 2.0, 5)
     kappa = nl0.at_value(0.0)  # any value gives the same field
     pou = multiscale_pou(coarse, kappa)
-    state = picard_solve(coarse, nl0, 1.0, BC, pou, samples,
-                         snap_per_sample=4, offline_count=4)
+    offline = build_nonlinear_offline(coarse, nl0, samples, 4, 4)
+    state = picard_solve(coarse, nl0, 1.0, BC, pou, samples, offline)
     assert state.converged and state.iterations == 1
     assert state.updates[-1] == 0.0
 
-    offline = build_nonlinear_offline(coarse, nl0, samples, 4, 4)
-    from gmsfem.spaces import build_online
     spaces = {}
     for i, off in offline.items():
         region = off.region
@@ -98,14 +115,14 @@ def test_alpha_zero_is_bit_exact_linear(setup):
     basis = build_coarse_basis(coarse, pou, spaces)
     A = assemble_stiffness(fine, kappa)
     b = assemble_load(fine, 1.0)
-    sol = solve_coarse_galerkin(fine, A, b, BC, basis)
-    assert np.array_equal(state.u, sol.u)
+    u = solve_coarse_galerkin(fine, A, b, BC, basis)
+    assert np.array_equal(state.u, u)
 
 
 def test_shared_snapshot_stage_matches_offline_built_inside(setup):
-    # the fast path (one snapshot stage, reduced per offline count and
-    # passed in) must give the very bits of the slow path, which builds
-    # the whole offline space inside picard_solve
+    # the fast path (one snapshot stage, reduced per offline count) must
+    # give the very bits of the slow path, which builds the whole offline
+    # space once per count
     fine, coarse, nl = setup
     samples = np.linspace(0.0, 2.5, 4)
     pou = multiscale_pou(coarse, nl.at_value(1.25))
@@ -114,7 +131,8 @@ def test_shared_snapshot_stage_matches_offline_built_inside(setup):
         fast = picard_solve(coarse, nl, 1.0, BC, pou, samples,
                             offline=offline)
         slow = picard_solve(coarse, nl, 1.0, BC, pou, samples,
-                            snap_per_sample=4, offline_count=count)
+                            build_nonlinear_offline(coarse, nl, samples, 4,
+                                                    count))
         assert fast.dims == slow.dims
         assert fast.iterations == slow.iterations
         assert np.array_equal(fast.u, slow.u)
@@ -159,7 +177,7 @@ def test_picard_converges_and_approximates(setup):
     samples = np.linspace(0.0, 2.5, 6)
     pou = multiscale_pou(coarse, nl.at_value(1.25))
     state = picard_solve(coarse, nl, 1.0, BC, pou, samples,
-                         snap_per_sample=6, offline_count=6)
+                         build_nonlinear_offline(coarse, nl, samples, 6, 6))
     assert state.converged
     assert state.iterations <= 8
     assert state.updates[-1] <= 1e-6
@@ -181,4 +199,5 @@ def test_clamp_warns_when_samples_too_narrow(setup):
     pou = multiscale_pou(coarse, nl.at_value(0.0))
     with pytest.warns(RuntimeWarning, match="clamped"):
         picard_solve(coarse, nl, 1.0, BC, pou, samples,
-                     snap_per_sample=3, offline_count=3, max_it=2)
+                     build_nonlinear_offline(coarse, nl, samples, 3, 3),
+                     max_it=2)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from gmsfem import studies
 from gmsfem.studies import (config_hash, detect_mode_counts, parallel_map,
                             run_convergence_study, run_eigendecay_study,
                             write_csv, _fmt)
@@ -42,6 +43,25 @@ def test_detect_mode_counts_small():
     assert set(counts) == set(range(coarse.N_v))
     assert min(counts.values()) >= 1
     assert max(counts.values()) < 30
+
+
+def test_detect_mode_counts_keeps_one_column_per_node(monkeypatch):
+    # only the spectra are read, and they are whole whatever the count
+    fine = build_fine_mesh(20, 20)
+    coarse = build_coarse_mesh(fine, 4, 4)
+    built = []
+    original = studies.offline_spaces
+
+    def recording(*args, **kwargs):
+        spaces = original(*args, **kwargs)
+        built.extend(spaces.values())
+        return spaces
+
+    monkeypatch.setattr(studies, "offline_spaces", recording)
+    detect_mode_counts(coarse, lambda e: channels_and_inclusions(fine, e))
+    assert len(built) == 2 * coarse.N_v
+    assert all(s.dim == 1 for s in built)
+    assert all(len(s.eigenvalues) == s.region.n_nodes for s in built)
 
 
 def test_convergence_rows_shape(tmp_path):
