@@ -33,7 +33,6 @@ class CoarseBasis:
 
     coarse: CoarseMesh
     P: sp.csr_matrix          # (n_fine_nodes, dim)
-    index: list               # column -> (coarse_node, local_mode)
     spaces: dict              # coarse_node -> ReducedSpace
     pou: object = None
 
@@ -62,7 +61,6 @@ def build_coarse_basis(coarse: CoarseMesh, pou, spaces: dict) -> CoarseBasis:
     bnd_mask = np.zeros(fine.n_nodes, dtype=bool)
     bnd_mask[fine.boundary_nodes] = True
     rows, cols, data = [], [], []
-    index = []
     col = 0
     for i in sorted(spaces):
         space = spaces[i]
@@ -75,7 +73,6 @@ def build_coarse_basis(coarse: CoarseMesh, pou, spaces: dict) -> CoarseBasis:
             rows.append(nb_nodes[nz])
             cols.append(np.full(int(nz.sum()), col))
             data.append(v[nz])
-            index.append((i, j))
             col += 1
     if col == 0:
         raise ValueError("coarse basis is empty; no modes were selected")
@@ -83,7 +80,7 @@ def build_coarse_basis(coarse: CoarseMesh, pou, spaces: dict) -> CoarseBasis:
         (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
         shape=(fine.n_nodes, col),
     ).tocsr()
-    return CoarseBasis(coarse=coarse, P=P, index=index, spaces=spaces, pou=pou)
+    return CoarseBasis(coarse=coarse, P=P, spaces=spaces, pou=pou)
 
 
 def coarse_dirichlet_lift(basis: CoarseBasis, bc: BoundaryCondition) -> np.ndarray:

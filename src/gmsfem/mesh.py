@@ -44,12 +44,6 @@ class FineMesh:
     def n_cells(self) -> int:
         return self.nx * self.ny
 
-    def node_id(self, i, j):
-        return j * (self.nx + 1) + i
-
-    def cell_id(self, i, j):
-        return j * self.nx + i
-
     def cells_in_box(self, cx0: int, cx1: int, cy0: int, cy1: int) -> np.ndarray:
         return _box_cells(self.nx, cx0, cx1, cy0, cy1)
 
@@ -233,8 +227,6 @@ def build_coarse_mesh(fine: FineMesh, Nx: int, Ny: int) -> CoarseMesh:
 class OverlapDecomposition:
     """Coarse blocks padded by delta fine-cell layers, clipped at the domain."""
 
-    cell_boxes: list
-    subdomain_nodes: list   # all nodes of each padded box
     interior_nodes: list    # nodes with zero trace on the padded box boundary
 
 
@@ -243,16 +235,12 @@ def build_overlap(coarse: CoarseMesh, delta_layers: int = 1) -> OverlapDecomposi
     if delta_layers < 1:
         raise ValueError(f"delta_layers must be >= 1, got {delta_layers}")
     fine = coarse.fine
-    boxes, nodes, interiors = [], [], []
+    interiors = []
     for K in range(coarse.n_blocks):
         cx0, cx1, cy0, cy1 = coarse.block_node_box(K)
         box = (
             max(cx0 - delta_layers, 0), min(cx1 + delta_layers, fine.nx),
             max(cy0 - delta_layers, 0), min(cy1 + delta_layers, fine.ny),
         )
-        boxes.append(box)
-        nodes.append(fine.nodes_in_cell_box(*box))
         interiors.append(fine.interior_nodes_of_cell_box(*box))
-    return OverlapDecomposition(
-        cell_boxes=boxes, subdomain_nodes=nodes, interior_nodes=interiors,
-    )
+    return OverlapDecomposition(interior_nodes=interiors)

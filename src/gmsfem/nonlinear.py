@@ -18,7 +18,7 @@ from .fem import BoundaryCondition, assemble_load, assemble_stiffness
 from .mesh import CoarseMesh
 from .coupling import build_coarse_basis, solve_coarse_galerkin
 from .solvers import NumericalError
-from .spaces import build_online, local_forms, offline_spaces
+from .spaces import offline_spaces
 
 
 @dataclass
@@ -87,13 +87,14 @@ class PicardState:
 
 def build_nonlinear_offline(coarse: CoarseMesh, nl: NonlinearCoefficient,
                             sample_values: np.ndarray, snap_per_sample: int,
-                            offline_count) -> dict | list:
+                            offline_count: int) -> dict:
     """Offline spaces from spectral snapshots over the frozen-exponent samples.
 
     Per neighborhood and sample value: the dominant eigenvectors of the
     Neumann pencil (kappa-mass, kappa-stiffness); their union is reduced
-    with the sample-averaged coefficient.  A list of offline counts gives
-    a list of spaces, one per count, from one snapshot stage.
+    with the sample-averaged coefficient, keeping offline_count modes.
+    The kept modes are eigen-ordered, so spaces.truncate of one build
+    gives the space of any smaller count.
     """
     fields = [nl.at_value(v) for v in sample_values]
     avg = CoefficientField(np.mean([f.values for f in fields], axis=0))
@@ -110,16 +111,18 @@ def picard_solve(coarse: CoarseMesh, nl: NonlinearCoefficient, f,
 
     The initial iterate is the linear solve at the sample midpoint.  Each
     step freezes the exponent at the block averages of the previous
-    iterate (the online spaces use the neighborhood averages), and solves
-    the coarse Galerkin system; convergence is a relative update below
-    tol in the unit-coefficient energy norm.  offline is the offline
-    space, as from build_nonlinear_offline over the same sample_values.
+    iterate and solves the coarse Galerkin system in the offline space,
+    whose coarse basis is built once; convergence is a relative update
+    below tol in the unit-coefficient energy norm.  offline is the
+    offline space, as from build_nonlinear_offline over the same
+    sample_values.
     """
     sample_values = np.asarray(sample_values, dtype=float)
     lo, hi = sample_values.min(), sample_values.max()
     fine = coarse.fine
     A1 = assemble_stiffness(fine, CoefficientField(np.ones(fine.n_cells)))
     b = assemble_load(fine, f)
+    basis = build_coarse_basis(coarse, pou, offline)
 
     def clamp(vals):
         clipped = np.clip(vals, lo, hi)
@@ -128,28 +131,18 @@ def picard_solve(coarse: CoarseMesh, nl: NonlinearCoefficient, f,
                           RuntimeWarning)
         return clipped
 
-    def build_basis(node_mu):
-        spaces = {}
-        for i, off in offline.items():
-            forms = local_forms(fine, nl.at_value(float(node_mu[i])),
-                                "kappa_mass")
-            spaces[i] = build_online(off, *forms(off.region), count=off.dim)
-        return build_coarse_basis(coarse, pou, spaces)
-
     def step(u_prev):
-        node_mu = clamp(node_averages(coarse, u_prev))
         mu_cells = cellwise_parameter(coarse, clamp(block_averages(coarse, u_prev)))
         kappa = nl.at_value(mu_cells)
-        basis = build_basis(node_mu)
         A = assemble_stiffness(fine, kappa)
-        return solve_coarse_galerkin(fine, A, b, bc, basis), basis
+        return solve_coarse_galerkin(fine, A, b, bc, basis)
 
     mid = 0.5 * (lo + hi)
-    u, basis = step(np.full(fine.n_nodes, mid))
+    u = step(np.full(fine.n_nodes, mid))
     updates = []
     grow = 0
     for it in range(1, max_it + 1):
-        u_new, basis = step(u)
+        u_new = step(u)
         d = u_new - u
         denom = float(u_new @ (A1 @ u_new))
         upd = np.sqrt(float(d @ (A1 @ d)) / denom) if denom > 0 else 0.0

@@ -158,26 +158,22 @@ class PcgReport:
     residuals: list
     condition_estimate: float
     converged: bool
-    ritz_min: float = 0.0
-    ritz_max: float = 0.0
 
 
-def _lanczos_condition(alphas, betas) -> tuple:
-    """(condition, ritz_min, ritz_max) from the CG-recovered tridiagonal."""
+def _lanczos_condition(alphas, betas) -> float:
+    """Condition estimate from the CG-recovered tridiagonal."""
     k = len(alphas)
-    if k == 0:
-        return 1.0, 0.0, 0.0
+    if k <= 1:
+        return 1.0
     diag = np.empty(k)
-    off = np.empty(max(k - 1, 0))
+    off = np.empty(k - 1)
     diag[0] = 1.0 / alphas[0]
     for i in range(1, k):
         diag[i] = 1.0 / alphas[i] + betas[i - 1] / alphas[i - 1]
         off[i - 1] = np.sqrt(betas[i - 1]) / alphas[i - 1]
-    if k == 1:
-        return 1.0, float(diag[0]), float(diag[0])
     ev = la.eigvalsh_tridiagonal(diag, off)
     lo = max(ev[0], np.finfo(float).tiny)
-    return float(ev[-1] / lo), float(ev[0]), float(ev[-1])
+    return float(ev[-1] / lo)
 
 
 def pcg(A, b: np.ndarray, M_inv=None, tol: float = 1e-10, max_it: int = 1000):
@@ -220,14 +216,14 @@ def pcg(A, b: np.ndarray, M_inv=None, tol: float = 1e-10, max_it: int = 1000):
             warnings.warn(f"pcg residual grew 100x at iteration {it}", RuntimeWarning)
             warned = True
         if rel <= tol:
-            cond, rmin, rmax = _lanczos_condition(alphas, betas)
-            return x, PcgReport(it, history, cond, True, rmin, rmax)
+            cond = _lanczos_condition(alphas, betas)
+            return x, PcgReport(it, history, cond, True)
         beta = rz_new / rz
         betas.append(beta)
         p = z + beta * p
         rz = rz_new
-    cond, rmin, rmax = _lanczos_condition(alphas, betas)
-    return x, PcgReport(max_it, history, cond, False, rmin, rmax)
+    cond = _lanczos_condition(alphas, betas)
+    return x, PcgReport(max_it, history, cond, False)
 
 
 class TwoLevelPreconditioner:

@@ -339,19 +339,15 @@ def offline_spaces(coarse: CoarseMesh, kappa: CoefficientField,
                    snapshots: str = "fine", a_form: str = "pou_grad_mass",
                    pou=None, count=None, threshold=None, samples=None,
                    snap_per_sample: int = None,
-                   workers: int = 1) -> dict | list:
+                   workers: int = 1) -> dict:
     """Offline space per coarse node: {node: ReducedSpace}.
 
     Per neighborhood, the snapshot space (snapshot_space) is reduced with
     the a- and s-forms of kappa (local_forms) by build_offline; the nodes
     are mapped with parallel_map, so the result does not depend on
     workers.  Each node's snapshots are dropped once its space is built.
-    count may be a list of counts: each node's snapshots and forms are
-    then built once and reduced once per count, and the result is a list
-    with one {node: ReducedSpace} per entry.
+    For several counts, build at the largest and truncate.
     """
-    many = isinstance(count, (list, tuple))
-    counts = list(count) if many else [count]
     mesh = coarse.fine
     forms = local_forms(mesh, kappa, a_form, pou)
 
@@ -360,13 +356,10 @@ def offline_spaces(coarse: CoarseMesh, kappa: CoefficientField,
         snap = snapshot_space(mesh, region, snapshots, kappa, samples,
                               snap_per_sample)
         a_mat, s_mat = forms(region)
-        return [build_offline(snap, a_mat, s_mat, count=c, threshold=threshold)
-                for c in counts]
+        return build_offline(snap, a_mat, s_mat, count=count,
+                             threshold=threshold)
 
-    per_node = parallel_map(one, coarse.neighborhoods, workers)
-    out = [{i: node[j] for i, node in enumerate(per_node)}
-           for j in range(len(counts))]
-    return out if many else out[0]
+    return dict(enumerate(parallel_map(one, coarse.neighborhoods, workers)))
 
 
 def count_unbounded(lams_hi: np.ndarray, lams_lo: np.ndarray,

@@ -455,10 +455,9 @@ def run_nonlinear_study(fine_n: int = 80, coarse_n: int = 8,
                         workers: int = 1, out=None) -> list:
     """Picard convergence and accuracy versus the offline space size.
 
-    The spectral snapshots and forms of each neighborhood do not depend
-    on the offline count, so they are built once and reduced for each
-    entry of offline_counts.  The
-    study runs serially: workers is accepted for a uniform study
+    One offline space is built at the largest of offline_counts and
+    truncated to each count, as the enrichment ladder does.  The study
+    runs serially: workers is accepted for a uniform study
     signature but not used (spreading the snapshot stage over
     neighborhoods did not pay on two cores with multithreaded BLAS).
     """
@@ -480,10 +479,11 @@ def run_nonlinear_study(fine_n: int = 80, coarse_n: int = 8,
     M_k = assemble_mass(fine, weight=k_ref)
     mid = 0.5 * (u_range[0] + u_range[1])
     pou = multiscale_pou(coarse, nl.at_value(mid))
-    offlines = build_nonlinear_offline(coarse, nl, samples, snap_per_sample,
-                                       list(offline_counts))
+    top = build_nonlinear_offline(coarse, nl, samples, snap_per_sample,
+                                  max(offline_counts))
     rows = []
-    for L, offline in zip(offline_counts, offlines):
+    for L in offline_counts:
+        offline = {i: truncate(s, min(L, s.dim)) for i, s in top.items()}
         state = picard_solve(coarse, nl, SOURCE, BC_LINEAR, pou, samples,
                              offline=offline)
         err = relative_errors(state.u, u_ref, A_k, M_k)

@@ -15,8 +15,8 @@ import scipy.linalg as la
 from gmsfem.coeff import CoefficientField
 from gmsfem.coupling import (build_coarse_basis, solve_coarse_galerkin,
                              solve_fine)
-from gmsfem.fem import (BoundaryCondition, assemble_load, assemble_mass,
-                        assemble_stiffness, relative_errors)
+from gmsfem.fem import (BoundaryCondition, assemble_load, assemble_stiffness,
+                        relative_errors)
 from gmsfem.fields import channels_and_inclusions, channels_and_inclusions_alt
 from gmsfem.mesh import build_coarse_mesh, build_fine_mesh
 from gmsfem.nonlinear import (NonlinearCoefficient, build_nonlinear_offline,
@@ -253,15 +253,7 @@ def test_criterion_09_nonlinear_picard():
     bc = BoundaryCondition(lambda x, y: x + y)
     offline = build_nonlinear_offline(coarse, nl0, samples, 4, 4)
     state = picard_solve(coarse, nl0, 1.0, bc, pou, samples, offline)
-    spaces = {}
-    for i, off in offline.items():
-        region = off.region
-        a_mat = assemble_mass(fine, weight=kappa, restrict_to=region.nodes,
-                              cells=region.cells)
-        s_mat = assemble_stiffness(fine, kappa, restrict_to=region.nodes,
-                                   cells=region.cells)
-        spaces[i] = build_online(off, a_mat, s_mat, count=off.dim)
-    basis = build_coarse_basis(coarse, pou, spaces)
+    basis = build_coarse_basis(coarse, pou, offline)
     u = solve_coarse_galerkin(fine, assemble_stiffness(fine, kappa),
                               assemble_load(fine, 1.0), bc, basis)
     bit_exact = (state.iterations == 1

@@ -68,9 +68,10 @@ def test_affine_shape_mismatch():
 def test_generate_inclusions_channels():
     fine = build_fine_mesh(10, 10)
     f = generate_inclusions_channels(fine, [(0, 10, 4, 5), (2, 4, 7, 9)], 1e3)
-    assert f.values[fine.cell_id(0, 4)] == 1e3
-    assert f.values[fine.cell_id(3, 8)] == 1e3
-    assert f.values[fine.cell_id(0, 0)] == 1.0
+    # cell (i, j) is j * nx + i
+    assert f.values[4 * fine.nx + 0] == 1e3
+    assert f.values[8 * fine.nx + 3] == 1e3
+    assert f.values[0] == 1.0
     assert (f.values == 1e3).sum() == 10 + 4
     with pytest.raises(ValueError):
         generate_inclusions_channels(fine, [(0, 1, 0, 1)], 0.5)

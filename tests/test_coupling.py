@@ -35,7 +35,9 @@ def test_basis_support_and_boundary_rows(setup):
     assert basis.dim == 3 * coarse.N_v
     P = basis.P.toarray()
     assert np.abs(P[fine.boundary_nodes]).max() == 0.0
-    for col, (i, j) in enumerate(basis.index):
+    # columns run over the nodes in order, each node's modes in order
+    index = [(i, j) for i in sorted(spaces) for j in range(spaces[i].dim)]
+    for col, (i, j) in enumerate(index):
         nb = coarse.neighborhoods[i]
         outside = np.setdiff1d(np.arange(fine.n_nodes), nb.nodes)
         assert np.abs(P[outside, col]).max() == 0.0

@@ -14,8 +14,8 @@ def test_fine_mesh_counts_and_coords():
     assert m.triangles.shape == (24, 3)
     assert np.allclose(m.node_coords[0], [0.0, 0.0])
     assert np.allclose(m.node_coords[-1], [1.0, 1.0])
-    assert m.node_id(4, 3) == m.n_nodes - 1
-    assert m.cell_id(3, 2) == m.n_cells - 1
+    # cell (i, j) is j * nx + i; its bottom-left node is j * (nx + 1) + i
+    assert m.triangles[2 * (2 * 4 + 3), 0] == 2 * 5 + 3
 
 
 def test_triangle_areas_cover_unit_square():
@@ -77,7 +77,7 @@ def test_coarse_mesh_structure():
     assert len(cm.interior_coarse_nodes) == 9
     # coarse node fine ids sit on the block corners
     i = cm.coarse_node_id(2, 3)
-    assert cm.coarse_node_fine_ids[i] == fine.node_id(6, 9)
+    assert cm.coarse_node_fine_ids[i] == 9 * (fine.nx + 1) + 6
     assert cm.coarse_node_ij(i) == (2, 3)
 
 
@@ -113,13 +113,15 @@ def test_overlap_decomposition():
     fine = build_fine_mesh(12, 12)
     cm = build_coarse_mesh(fine, 3, 3)
     ov = build_overlap(cm, delta_layers=1)
-    assert len(ov.cell_boxes) == 9
-    assert ov.cell_boxes[0] == (0, 5, 0, 5)  # clipped at the domain corner
-    assert ov.cell_boxes[4] == (3, 9, 3, 9)
-    # subdomains cover every fine node
+    assert len(ov.interior_nodes) == 9
+    # box 0 is clipped at the domain corner
+    assert np.array_equal(ov.interior_nodes[0],
+                          fine.interior_nodes_of_cell_box(0, 5, 0, 5))
+    # the subdomain interiors cover every free fine node
     cover = np.zeros(fine.n_nodes, dtype=int)
-    for nodes in ov.subdomain_nodes:
+    for nodes in ov.interior_nodes:
         cover[nodes] += 1
-    assert cover.min() >= 1
+    free = np.setdiff1d(np.arange(fine.n_nodes), fine.boundary_nodes)
+    assert cover[free].min() >= 1
     with pytest.raises(ValueError):
         build_overlap(cm, delta_layers=0)

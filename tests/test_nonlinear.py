@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from gmsfem import spaces
+from gmsfem import nonlinear, spaces
 from gmsfem.coeff import CoefficientField
 from gmsfem.fem import BoundaryCondition, assemble_load, assemble_mass, \
     assemble_stiffness, relative_errors
@@ -16,7 +16,7 @@ from gmsfem.nonlinear import (NonlinearCoefficient, block_averages,
                               build_nonlinear_offline, cellwise_parameter,
                               node_averages, picard_solve)
 from gmsfem.pou import multiscale_pou
-from gmsfem.spaces import build_online
+from gmsfem.spaces import truncate
 from gmsfem.studies import fine_picard_reference
 
 BC = BoundaryCondition(lambda x, y: x + y)
@@ -90,7 +90,7 @@ def test_cellwise_parameter_scatter(setup):
 def test_alpha_zero_is_bit_exact_linear(setup):
     # with alpha = 0 the coefficient never depends on the iterate, so the
     # Picard solve must terminate immediately and coincide bitwise with
-    # the one linear multiscale solve built through the same offline path
+    # the one linear multiscale solve in the same offline space
     fine, coarse, _ = setup
     nl0 = NonlinearCoefficient(
         kappa1=channels_and_inclusions(fine, 1e3),
@@ -104,15 +104,7 @@ def test_alpha_zero_is_bit_exact_linear(setup):
     assert state.converged and state.iterations == 1
     assert state.updates[-1] == 0.0
 
-    spaces = {}
-    for i, off in offline.items():
-        region = off.region
-        a_mat = assemble_mass(fine, weight=kappa, restrict_to=region.nodes,
-                              cells=region.cells)
-        s_mat = assemble_stiffness(fine, kappa, restrict_to=region.nodes,
-                                   cells=region.cells)
-        spaces[i] = build_online(off, a_mat, s_mat, count=off.dim)
-    basis = build_coarse_basis(coarse, pou, spaces)
+    basis = build_coarse_basis(coarse, pou, offline)
     A = assemble_stiffness(fine, kappa)
     b = assemble_load(fine, 1.0)
     u = solve_coarse_galerkin(fine, A, b, BC, basis)
@@ -120,45 +112,75 @@ def test_alpha_zero_is_bit_exact_linear(setup):
 
 
 def test_shared_snapshot_stage_matches_offline_built_inside(setup):
-    # the fast path (one snapshot stage, reduced per offline count) must
-    # give the very bits of the slow path, which builds the whole offline
-    # space once per count
+    # truncating one offline build at the largest count must give the
+    # very bits of a build per count, and so the same Picard solve
     fine, coarse, nl = setup
     samples = np.linspace(0.0, 2.5, 4)
     pou = multiscale_pou(coarse, nl.at_value(1.25))
-    offlines = build_nonlinear_offline(coarse, nl, samples, 4, [3, 5])
-    for count, offline in zip((3, 5), offlines):
-        fast = picard_solve(coarse, nl, 1.0, BC, pou, samples,
-                            offline=offline)
-        slow = picard_solve(coarse, nl, 1.0, BC, pou, samples,
-                            build_nonlinear_offline(coarse, nl, samples, 4,
-                                                    count))
-        assert fast.dims == slow.dims
-        assert fast.iterations == slow.iterations
-        assert np.array_equal(fast.u, slow.u)
+    top = build_nonlinear_offline(coarse, nl, samples, 4, 5)
+    for count in (3, 5):
+        fast = {i: truncate(s, min(count, s.dim)) for i, s in top.items()}
+        slow = build_nonlinear_offline(coarse, nl, samples, 4, count)
+        for i in slow:
+            assert np.array_equal(fast[i].columns, slow[i].columns)
+            assert np.array_equal(fast[i].eigenvalues, slow[i].eigenvalues)
+        a = picard_solve(coarse, nl, 1.0, BC, pou, samples, fast)
+        b = picard_solve(coarse, nl, 1.0, BC, pou, samples, slow)
+        assert a.dims == b.dims
+        assert a.iterations == b.iterations
+        assert np.array_equal(a.u, b.u)
+
+
+def _counted(calls, name, fn):
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+    return wrapper
 
 
 def test_snapshot_eigensolves_stay_sparse(setup, monkeypatch):
     # the only dense eigensolves are build_offline's reductions, one per
-    # node and count; the spectral snapshots use the sparse kernel
+    # node; the spectral snapshots use the sparse kernel
     fine, coarse, nl = setup
     calls = {"dense": 0, "sparse": 0}
-
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
-
     monkeypatch.setattr(spaces, "full_gen_eig",
-                        counted("dense", spaces.full_gen_eig))
+                        _counted(calls, "dense", spaces.full_gen_eig))
     monkeypatch.setattr(spaces, "leading_gen_eig",
-                        counted("sparse", spaces.leading_gen_eig))
+                        _counted(calls, "sparse", spaces.leading_gen_eig))
     samples = np.linspace(0.0, 2.5, 3)
-    counts = [3, 5]
-    build_nonlinear_offline(coarse, nl, samples, 4, counts)
-    assert calls["dense"] == coarse.N_v * len(counts)
+    build_nonlinear_offline(coarse, nl, samples, 4, 5)
+    assert calls["dense"] == coarse.N_v
     assert calls["sparse"] == coarse.N_v * len(samples)
+
+
+def test_picard_solves_in_the_offline_space(setup, monkeypatch):
+    # every step reuses the offline space's coarse basis: no eigensolve,
+    # and one basis build for the whole iteration
+    fine, coarse, nl = setup
+    samples = np.linspace(0.0, 2.5, 4)
+    pou = multiscale_pou(coarse, nl.at_value(1.25))
+    offline = build_nonlinear_offline(coarse, nl, samples, 4, 4)
+    calls = {"dense": 0, "sparse": 0, "basis": 0}
+    monkeypatch.setattr(spaces, "full_gen_eig",
+                        _counted(calls, "dense", spaces.full_gen_eig))
+    monkeypatch.setattr(spaces, "leading_gen_eig",
+                        _counted(calls, "sparse", spaces.leading_gen_eig))
+    monkeypatch.setattr(nonlinear, "build_coarse_basis",
+                        _counted(calls, "basis", nonlinear.build_coarse_basis))
+    state = picard_solve(coarse, nl, 1.0, BC, pou, samples, offline)
+    assert state.iterations > 1
+    assert calls == {"dense": 0, "sparse": 0, "basis": 1}
+
+
+def test_lambda_star_is_the_offline_spaces(setup):
+    fine, coarse, nl = setup
+    samples = np.linspace(0.0, 2.5, 4)
+    pou = multiscale_pou(coarse, nl.at_value(1.25))
+    offline = build_nonlinear_offline(coarse, nl, samples, 4, 4)
+    state = picard_solve(coarse, nl, 1.0, BC, pou, samples, offline)
+    want = build_coarse_basis(coarse, pou, offline).lambda_star()
+    assert state.lambda_star == want
+    assert state.lambda_star > 0
 
 
 def test_fine_reference_alpha_zero_matches_direct_solve(setup):

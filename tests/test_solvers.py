@@ -167,7 +167,6 @@ def test_cg_solves_spd_system():
     true = np.linalg.cond(A)
     assert rep.condition_estimate <= true * (1 + 1e-6)
     assert rep.condition_estimate > 0.5 * true
-    assert rep.ritz_max <= la.eigvalsh(A)[-1] * (1 + 1e-8)
 
 
 def test_pcg_with_exact_preconditioner_converges_in_one_step():
@@ -201,9 +200,8 @@ def test_pcg_rejects_negative_preconditioner():
 
 
 def test_lanczos_condition_edges():
-    assert _lanczos_condition([], []) == (1.0, 0.0, 0.0)
-    c, lo, hi = _lanczos_condition([0.5], [])
-    assert c == 1.0 and lo == hi == 2.0
+    assert _lanczos_condition([], []) == 1.0
+    assert _lanczos_condition([0.5], []) == 1.0
 
 
 def test_two_level_preconditioner_on_laplace():
