@@ -11,7 +11,7 @@ from .coeff import CoefficientField
 from .fem import (_cells_to_triangles, _triangle_geometry, assemble_mass,
                   assemble_stiffness)
 from .mesh import CoarseMesh
-from .solvers import NumericalError, SparseFactor, pcg
+from .solvers import NumericalError, SparseFactor, block_factor, pcg
 
 # relative residual at which CG stops on the energy-minimizing multiplier
 MULTIPLIER_TOL = 1e-10
@@ -43,11 +43,6 @@ class PartitionOfUnity:
 
     def sum_defect(self) -> float:
         return float(np.abs(_nodal_sum(self.coarse, self.local) - 1.0).max())
-
-    def energy(self, kappa: CoefficientField) -> float:
-        """Total energy functional sum_i int kappa |grad chi_i|^2."""
-        A = assemble_stiffness(self.coarse.fine, kappa)
-        return float(sum(c @ (A @ c) for c in map(self.dense, range(self.coarse.N_v))))
 
 
 def _nodal_sum(coarse: CoarseMesh, local: list) -> np.ndarray:
@@ -115,42 +110,30 @@ def energy_min_pou(coarse: CoarseMesh, kappa: CoefficientField) -> PartitionOfUn
     Stationarity of the Lagrangian gives chi_i = A_i^{-1} R_i p with the
     multiplier p solving (sum_i R_i' A_i^{-1} R_i) p = 1; that system is
     solved by CG, preconditioned with the global stiffness-plus-mass
-    operator (the sum acts like an inverse stiffness).
+    operator (the sum acts like an inverse stiffness).  All A_i share one
+    factor from solvers.block_factor, which names a singular neighborhood.
     """
     fine = coarse.fine
     A = assemble_stiffness(fine, kappa)
-    free_sets = []
-    factors = []
-    for nb in coarse.neighborhoods:
-        fn = fine.free_nodes_of_cell_box(*nb.cell_box)
-        free_sets.append(fn)
-        factors.append(SparseFactor(A[fn][:, fn]))
-
+    free_sets = [fine.free_nodes_of_cell_box(*nb.cell_box)
+                 for nb in coarse.neighborhoods]
     n = fine.n_nodes
-    cover = np.zeros(n)
-    for fn in free_sets:
-        cover[fn] += 1
-    if np.any(cover == 0):
+    if np.any(np.bincount(np.concatenate(free_sets), minlength=n) == 0):
         raise NumericalError("a fine node is free in no neighborhood")
-
-    def apply_T(v):
-        out = np.zeros(n)
-        for fn, f in zip(free_sets, factors):
-            out[fn] += f.solve(v[fn])
-        return out
-
+    factor, R = block_factor(A, free_sets, "neighborhood")
+    R_t = R.T.tocsr()
     B = (A + assemble_mass(fine, weight=kappa)).tocsr()
-    ones = np.ones(n)
-    p, report = pcg(apply_T, ones, M_inv=lambda v: B @ v, tol=MULTIPLIER_TOL,
-                     max_it=10 * n)
+    p, report = pcg(lambda v: R_t @ factor.solve(R @ v), np.ones(n),
+                    M_inv=lambda v: B @ v, tol=MULTIPLIER_TOL, max_it=10 * n)
     if not report.converged:
         raise NumericalError(
             f"energy-minimizing multiplier CG stalled at residual {report.residuals[-1]:.3e}"
         )
+    chi = np.split(factor.solve(R @ p), np.cumsum([len(fn) for fn in free_sets])[:-1])
     local = []
-    for nb, fn, f in zip(coarse.neighborhoods, free_sets, factors):
+    for nb, fn, c in zip(coarse.neighborhoods, free_sets, chi):
         v = np.zeros(nb.n_nodes)
-        v[fine.box_position(nb.cell_box, fn)] = f.solve(p[fn])
+        v[fine.box_position(nb.cell_box, fn)] = c
         local.append(v)
     return _normalized("energy-minimizing", coarse, local)
 

@@ -140,11 +140,8 @@ class SparseFactor:
     """Reusable LU factorization of a sparse SPD matrix."""
 
     def __init__(self, A):
-        A = sp.csc_matrix(A)
-        if A.shape[0] != A.shape[1]:
-            raise ValueError("matrix must be square")
-        try:
-            self._lu = spla.splu(A)
+        try:  # splu raises ValueError on a non-square matrix
+            self._lu = spla.splu(sp.csc_matrix(A))
         except RuntimeError as exc:
             raise NumericalError(f"sparse factorization failed: {exc}") from None
 
@@ -199,6 +196,7 @@ def pcg(A, b: np.ndarray, M_inv=None, tol: float = 1e-10, max_it: int = 1000):
     p = z.copy()
     alphas, betas = [], []
     warned = False
+    best = 1.0  # min(history[:-1]), kept as it goes
     for it in range(1, max_it + 1):
         Ap = matvec(p)
         pAp = float(p @ Ap)
@@ -212,9 +210,10 @@ def pcg(A, b: np.ndarray, M_inv=None, tol: float = 1e-10, max_it: int = 1000):
         alphas.append(alpha)
         rel = np.sqrt(max(rz_new, 0.0)) / norm0
         history.append(rel)
-        if not warned and rel > 100.0 * min(history[:-1]):
+        if not warned and rel > 100.0 * best:
             warnings.warn(f"pcg residual grew 100x at iteration {it}", RuntimeWarning)
             warned = True
+        best = min(best, rel)
         if rel <= tol:
             cond = _lanczos_condition(alphas, betas)
             return x, PcgReport(it, history, cond, True)
@@ -226,25 +225,46 @@ def pcg(A, b: np.ndarray, M_inv=None, tol: float = 1e-10, max_it: int = 1000):
     return x, PcgReport(max_it, history, cond, False)
 
 
+def block_factor(A, index_sets: list, label: str):
+    """One SparseFactor F of the block-diagonal matrix of the principal
+    blocks A_i = A[idx][:, idx], and the stacked 0/1 restriction
+    R = [R_1; ...; R_J] (CSR): F.solve(R @ v) holds every A_i^{-1} R_i v,
+    in ascending i.  After a failed joint factorization the blocks are
+    factored one at a time, so the error names the first singular one."""
+    for i, idx in enumerate(index_sets):
+        if len(idx) == 0:
+            raise NumericalError(f"{label} {i} has no interior nodes")
+    blocks = [A[idx][:, idx] for idx in index_sets]
+    try:
+        factor = SparseFactor(sp.block_diag(blocks, format="csc"))
+    except NumericalError:
+        for i, block in enumerate(blocks):
+            try:
+                SparseFactor(block)
+            except NumericalError as exc:
+                raise NumericalError(f"{label} {i}: {exc}") from None
+        raise
+    return factor, sp.eye(A.shape[0], format="csr")[np.concatenate(index_sets)]
+
+
+@dataclass
 class TwoLevelPreconditioner:
-    """Coarse solve plus overlapping-subdomain solves, all additive.
+    """M^{-1} v = P A_0^{-1} P'v + sum_i R_i' A_i^{-1} R_i v on the ordering
+    of a free-node-reduced fine system: R = [P'; R_1; ...; R_J], R_t its
+    CSR transpose, local_factor the one factor of every subdomain block
+    A_i.  An apply is two sparse products, a coarse and a sparse solve."""
 
-    Operates in the ordering of a free-node-reduced fine system: callers
-    pass the index of each subdomain's interior nodes within that ordering.
-    """
-
-    def __init__(self, coarse_P: sp.csr_matrix, coarse_factor,
-                 sub_indices: list, sub_factors: list):
-        self.coarse_P = coarse_P
-        self.coarse_factor = coarse_factor
-        self.sub_indices = sub_indices
-        self.sub_factors = sub_factors
+    coarse_P: sp.csr_matrix
+    coarse_factor: object  # v -> A_0^{-1} v
+    R: sp.csr_matrix
+    R_t: sp.csr_matrix
+    local_factor: SparseFactor
 
     def apply(self, v: np.ndarray) -> np.ndarray:
-        out = self.coarse_P @ self.coarse_factor(self.coarse_P.T @ v)
-        for idx, f in zip(self.sub_indices, self.sub_factors):
-            out[idx] += f.solve(v[idx])
-        return out
+        z = self.R @ v
+        m = self.coarse_P.shape[1]
+        return self.R_t @ np.concatenate([self.coarse_factor(z[:m]),
+                                          self.local_factor.solve(z[m:])])
 
     def __call__(self, v):
         return self.apply(v)
@@ -252,25 +272,22 @@ class TwoLevelPreconditioner:
 
 def build_two_level(A_ff: sp.csr_matrix, P_ff: sp.csr_matrix,
                     sub_interior_indices: list) -> TwoLevelPreconditioner:
-    """Factorize the coarse matrix P'AP and each subdomain principal block.
+    """Factorize the coarse matrix P'AP, and every subdomain principal
+    block at once by block_factor (a singular one is named in the error).
 
     A_ff is the Dirichlet-reduced fine matrix, P_ff the coarse prolongation
     in the same row ordering, sub_interior_indices the per-subdomain index
     arrays into that ordering.
     """
-    S0 = np.asarray((P_ff.T @ (A_ff @ P_ff)).todense())
+    S0 = (P_ff.T @ (A_ff @ P_ff)).toarray()
     S0 = 0.5 * (S0 + S0.T)
     try:
         c0 = la.cho_factor(S0)
     except la.LinAlgError as exc:
         raise NumericalError(f"coarse matrix not SPD: {exc}") from None
-    coarse_solve = lambda v: la.cho_solve(c0, v)
-    factors = []
-    for i, idx in enumerate(sub_interior_indices):
-        if len(idx) == 0:
-            raise NumericalError(f"subdomain {i} has no interior nodes")
-        try:
-            factors.append(SparseFactor(A_ff[idx][:, idx]))
-        except NumericalError as exc:
-            raise NumericalError(f"subdomain {i}: {exc}") from None
-    return TwoLevelPreconditioner(P_ff, coarse_solve, sub_interior_indices, factors)
+    coarse_solve = lambda v: la.cho_solve(c0, v, check_finite=False)
+    local, R_sub = block_factor(A_ff, sub_interior_indices, "subdomain")
+    # hstack keeps each row of P in its stored order, so the coarse part
+    # of R_t @ y sums in the order of P @ c
+    R_t = sp.hstack([P_ff, R_sub.T.tocsr()], format="csr")
+    return TwoLevelPreconditioner(P_ff, coarse_solve, R_t.T.tocsr(), R_t, local)

@@ -1,12 +1,17 @@
 """Dense oracles for the neighborhood-local partition of unity: chi as an
-(N_v, n_fine) array and the O(N_v * triangles) loops the local code replaced."""
+(N_v, n_fine) array, the total energy, the O(N_v * triangles) loops the
+local code replaced, and the energy-minimizing POU with one factor and one
+solve per neighborhood."""
 
 import numpy as np
 
-from gmsfem.fem import _cells_to_triangles, _triangle_geometry
+from gmsfem.fem import (_cells_to_triangles, _triangle_geometry, assemble_mass,
+                        assemble_stiffness)
 from gmsfem.fields import channels_and_inclusions
 from gmsfem.mesh import build_coarse_mesh, build_fine_mesh
-from gmsfem.pou import bilinear_pou, energy_min_pou, multiscale_pou
+from gmsfem.pou import (MULTIPLIER_TOL, _normalized, bilinear_pou,
+                        energy_min_pou, multiscale_pou)
+from gmsfem.solvers import SparseFactor, pcg
 
 # (fine, coarse) sizes the oracle tests run at
 ORACLE_SIZES = [(20, 4), (30, 3)]
@@ -25,6 +30,40 @@ def pou_problem(n: int, c: int):
 
 def dense_chi(pou) -> np.ndarray:
     return np.array([pou.dense(i) for i in range(pou.coarse.N_v)])
+
+
+def pou_energy(pou, kappa) -> float:
+    """Total energy functional sum_i int kappa |grad chi_i|^2."""
+    A = assemble_stiffness(pou.coarse.fine, kappa)
+    return float(sum(c @ (A @ c) for c in map(pou.dense, range(pou.coarse.N_v))))
+
+
+def looped_energy_min_pou(coarse, kappa):
+    """energy_min_pou with a SparseFactor per neighborhood and a Python
+    loop over them in every application of sum_i R_i' A_i^{-1} R_i."""
+    fine = coarse.fine
+    A = assemble_stiffness(fine, kappa)
+    free_sets = [fine.free_nodes_of_cell_box(*nb.cell_box)
+                 for nb in coarse.neighborhoods]
+    factors = [SparseFactor(A[fn][:, fn]) for fn in free_sets]
+    n = fine.n_nodes
+
+    def apply_T(v):
+        out = np.zeros(n)
+        for fn, f in zip(free_sets, factors):
+            out[fn] += f.solve(v[fn])
+        return out
+
+    B = (A + assemble_mass(fine, weight=kappa)).tocsr()
+    p, report = pcg(apply_T, np.ones(n), M_inv=lambda v: B @ v,
+                    tol=MULTIPLIER_TOL, max_it=10 * n)
+    assert report.converged
+    local = []
+    for nb, fn, f in zip(coarse.neighborhoods, free_sets, factors):
+        v = np.zeros(nb.n_nodes)
+        v[fine.box_position(nb.cell_box, fn)] = f.solve(p[fn])
+        local.append(v)
+    return _normalized("energy-minimizing", coarse, local)
 
 
 def dense_gradient_weight(pou, kappa, cells) -> np.ndarray:

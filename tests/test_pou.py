@@ -3,6 +3,9 @@ ordering."""
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+
+import gmsfem.pou as pou_module
 
 from gmsfem.coeff import CoefficientField, cell_box_from_coords
 from gmsfem.fem import _triangle_geometry, assemble_mass, assemble_stiffness
@@ -10,9 +13,10 @@ from gmsfem.fields import channels_and_inclusions
 from gmsfem.mesh import build_coarse_mesh, build_fine_mesh
 from gmsfem.pou import (bilinear_pou, energy_min_pou, multiscale_pou,
                         pou_gradient_weight)
+from gmsfem.solvers import NumericalError
 from gmsfem.spaces import LocalRegion
 from pou_oracles import (ORACLE_SIZES, dense_chi, dense_gradient_weight,
-                         pou_problem)
+                         looped_energy_min_pou, pou_energy, pou_problem)
 
 
 @pytest.fixture(scope="module")
@@ -58,7 +62,7 @@ def test_bilinear_is_nodal(setup):
 def test_energy_ordering(setup):
     fine, coarse, kappa = setup
     pous = _all_pous(coarse, kappa)
-    e = {k: p.energy(kappa) for k, p in pous.items()}
+    e = {k: pou_energy(p, kappa) for k, p in pous.items()}
     assert e["energy-minimizing"] <= e["multiscale"] * (1 + 1e-12)
     assert e["multiscale"] <= e["bilinear"] * (1 + 1e-12)
 
@@ -69,7 +73,7 @@ def test_energy_min_is_constrained_minimum(setup):
     fine, coarse, kappa = setup
     pou = energy_min_pou(coarse, kappa)
     A = assemble_stiffness(fine, kappa)
-    base = pou.energy(kappa)
+    base = pou_energy(pou, kappa)
     rng = np.random.default_rng(0)
     i, j = 6, 7  # adjacent interior coarse nodes
     fi = fine.free_nodes_of_cell_box(*coarse.neighborhoods[i].cell_box)
@@ -92,7 +96,7 @@ def test_gradient_weight_totals_energy(setup):
         w = pou_gradient_weight(pou, kappa, np.arange(fine.n_cells))
         _, _, area = _triangle_geometry(fine, np.arange(2 * fine.n_cells))
         assert float((w * area).sum()) == pytest.approx(
-            pou.energy(kappa), rel=1e-10), name
+            pou_energy(pou, kappa), rel=1e-10), name
 
 
 def test_gradient_weight_tensor_field(setup):
@@ -131,6 +135,26 @@ def test_gradient_weight_matches_dense_oracle(sized):
         for cells in cell_sets:
             assert np.array_equal(pou_gradient_weight(pou, kappa, cells),
                                   dense_gradient_weight(pou, kappa, cells)), name
+
+
+def test_energy_min_matches_the_per_neighborhood_loop(sized):
+    _, coarse, kappa, pous = sized
+    looped = looped_energy_min_pou(coarse, kappa)
+    for mine, theirs in zip(pous["energy-minimizing"].local, looped.local):
+        assert np.array_equal(mine, theirs)
+
+
+def test_energy_min_names_a_singular_neighborhood(setup, monkeypatch):
+    # zero the stiffness rows and columns inside coarse cell 5; of the
+    # neighborhoods 6, 7, 11 and 12 that hold them, 6 is factored first
+    fine, coarse, kappa = setup
+    keep = np.ones(fine.n_nodes)
+    keep[fine.interior_nodes_of_cell_box(*coarse.block_node_box(5))] = 0.0
+    D = sp.diags(keep)
+    monkeypatch.setattr(pou_module, "assemble_stiffness",
+                        lambda f, k: (D @ assemble_stiffness(f, k) @ D).tocsr())
+    with pytest.raises(NumericalError, match="^neighborhood 6: "):
+        energy_min_pou(coarse, kappa)
 
 
 def test_local_storage_holds_one_value_per_neighborhood_node():

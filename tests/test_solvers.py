@@ -13,7 +13,7 @@ from gmsfem.fem import (BoundaryCondition, assemble_load, assemble_mass,
                         assemble_stiffness, reduce_dirichlet)
 from gmsfem.fields import channels_and_inclusions
 from gmsfem.mesh import build_coarse_mesh, build_fine_mesh, build_overlap
-from gmsfem.pou import bilinear_pou
+from gmsfem.pou import bilinear_pou, energy_min_pou
 from gmsfem.solvers import (NumericalError, SparseFactor, build_two_level,
                             dense_gen_eig, full_gen_eig, leading_gen_eig,
                             pcg, _lanczos_condition)
@@ -204,7 +204,9 @@ def test_lanczos_condition_edges():
     assert _lanczos_condition([0.5], []) == 1.0
 
 
-def test_two_level_preconditioner_on_laplace():
+def _laplace_problem():
+    """(A_ff, b_f, P, subs) of the unit-kappa Laplacian at fine 24 / coarse 4:
+    bilinear coarse space and the 16 subdomains of overlap 2."""
     fine = build_fine_mesh(24, 24)
     coarse = build_coarse_mesh(fine, 4, 4)
     kappa = CoefficientField(np.ones(fine.n_cells))
@@ -221,14 +223,70 @@ def test_two_level_preconditioner_on_laplace():
     for ints in ov.interior_nodes:
         idx = pos[ints]
         subs.append(idx[idx >= 0])
+    return A_ff, b_f, P, subs
+
+
+def test_two_level_preconditioner_on_laplace():
+    A_ff, b_f, P, subs = _laplace_problem()
+    assert len(subs) == 16
     M = build_two_level(A_ff, P, subs)
-    assert len(M.sub_indices) == 16
+    # M is symmetric positive definite
+    v, w = np.random.default_rng(3).standard_normal((2, len(b_f)))
+    assert v @ M(w) == pytest.approx(w @ M(v), rel=1e-12)
+    assert v @ M(v) > 0.0
     x, rep = pcg(A_ff, b_f, M_inv=M, tol=1e-10, max_it=200)
     _, rep_plain = pcg(A_ff, b_f, tol=1e-10, max_it=2000)
     assert rep.converged
     assert rep.iterations < rep_plain.iterations
     assert rep.condition_estimate < rep_plain.condition_estimate
     assert np.linalg.norm(A_ff @ x - b_f) < 1e-8
+
+
+def test_two_level_apply_matches_subdomain_loop():
+    # the block-diagonal factor and the stacked restriction give the bits
+    # of one factor and one scatter-add per subdomain, in subdomain order
+    A_ff, b_f, P, subs = _laplace_problem()
+    M = build_two_level(A_ff, P, subs)
+    S0 = (P.T @ (A_ff @ P)).toarray()
+    c0 = la.cho_factor(0.5 * (S0 + S0.T))
+    factors = [SparseFactor(A_ff[idx][:, idx]) for idx in subs]
+    rng = np.random.default_rng(11)
+    for v in [b_f, *rng.standard_normal((3, len(b_f)))]:
+        out = P @ la.cho_solve(c0, P.T @ v)
+        for idx, f in zip(subs, factors):
+            out[idx] += f.solve(v[idx])
+        assert np.array_equal(M(v), out)
+
+
+def test_two_level_names_a_singular_subdomain():
+    # zero the rows and columns of subdomain 1 only: the coarse matrix
+    # stays SPD and the joint factor of the blocks fails
+    A_ff, _, P, _ = _laplace_problem()
+    n = A_ff.shape[0]
+    subs = [np.arange(0, 100), np.arange(100, 110), np.arange(110, n)]
+    keep = sp.diags(np.where((np.arange(n) >= 100) & (np.arange(n) < 110), 0.0, 1.0))
+    with pytest.raises(NumericalError, match="^subdomain 1: "):
+        build_two_level((keep @ A_ff @ keep).tocsr(), P, subs)
+
+
+def test_two_level_and_energy_min_pou_factor_once(monkeypatch):
+    # one SparseFactor holds every subdomain (or neighborhood) block
+    shapes = []
+    init = SparseFactor.__init__
+
+    def counted(self, A):
+        shapes.append(A.shape[0])
+        init(self, A)
+
+    monkeypatch.setattr(SparseFactor, "__init__", counted)
+    A_ff, _, P, subs = _laplace_problem()
+    build_two_level(A_ff, P, subs)
+    assert shapes == [sum(map(len, subs))]
+    fine = build_fine_mesh(20, 20)
+    coarse = build_coarse_mesh(fine, 4, 4)
+    energy_min_pou(coarse, channels_and_inclusions(fine, 1e3))
+    assert shapes[1:] == [sum(len(fine.free_nodes_of_cell_box(*nb.cell_box))
+                              for nb in coarse.neighborhoods)]
 
 
 def test_two_level_rejects_empty_subdomain():
@@ -239,5 +297,5 @@ def test_two_level_rejects_empty_subdomain():
     b = assemble_load(fine, 1.0)
     A_ff, _, fr, _ = reduce_dirichlet(A, b, fine, BoundaryCondition(0.0))
     P = sp.csr_matrix(dense_chi(bilinear_pou(coarse)).T)[fr]
-    with pytest.raises(NumericalError):
+    with pytest.raises(NumericalError, match="subdomain 0 has no interior nodes"):
         build_two_level(A_ff, P, [np.array([], dtype=np.int64)])
