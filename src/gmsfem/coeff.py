@@ -107,7 +107,8 @@ def generate_inclusions_channels(fine: FineMesh, spec: list, eta: float) -> Coef
     for box in spec:
         cx0, cx1, cy0, cy1 = box
         if not (0 <= cx0 < cx1 <= fine.nx and 0 <= cy0 < cy1 <= fine.ny):
-            raise ValueError(f"geometry box {box} outside the {fine.nx}x{fine.ny} grid")
+            raise ValueError(f"geometry box {box} is empty or outside the "
+                             f"{fine.nx}x{fine.ny} fine grid")
         vals[fine.cells_in_box(cx0, cx1, cy0, cy1)] = eta
     return CoefficientField(vals)
 

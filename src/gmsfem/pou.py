@@ -35,12 +35,6 @@ class PartitionOfUnity:
                                             np.asarray(nodes))
         return np.append(self.local[i], 0.0)[pos]
 
-    def dense(self, i: int) -> np.ndarray:
-        """chi_i as a vector over all fine nodes."""
-        out = np.zeros(self.coarse.fine.n_nodes)
-        out[self.coarse.neighborhoods[i].nodes] = self.local[i]
-        return out
-
     def sum_defect(self) -> float:
         return float(np.abs(_nodal_sum(self.coarse, self.local) - 1.0).max())
 

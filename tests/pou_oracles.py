@@ -1,7 +1,7 @@
-"""Dense oracles for the neighborhood-local partition of unity: chi as an
-(N_v, n_fine) array, the total energy, the O(N_v * triangles) loops the
-local code replaced, and the energy-minimizing POU with one factor and one
-solve per neighborhood."""
+"""Dense oracles for the neighborhood-local partition of unity: chi_i as a
+vector over all fine nodes, chi as an (N_v, n_fine) array, the total
+energy, the O(N_v * triangles) loops the local code replaced, and the
+energy-minimizing POU with one factor and one solve per neighborhood."""
 
 import numpy as np
 
@@ -28,14 +28,22 @@ def pou_problem(n: int, c: int):
     return fine, coarse, kappa, pous
 
 
+def chi_dense(pou, i: int) -> np.ndarray:
+    """chi_i as a vector over all fine nodes."""
+    out = np.zeros(pou.coarse.fine.n_nodes)
+    out[pou.coarse.neighborhoods[i].nodes] = pou.local[i]
+    return out
+
+
 def dense_chi(pou) -> np.ndarray:
-    return np.array([pou.dense(i) for i in range(pou.coarse.N_v)])
+    return np.array([chi_dense(pou, i) for i in range(pou.coarse.N_v)])
 
 
 def pou_energy(pou, kappa) -> float:
     """Total energy functional sum_i int kappa |grad chi_i|^2."""
     A = assemble_stiffness(pou.coarse.fine, kappa)
-    return float(sum(c @ (A @ c) for c in map(pou.dense, range(pou.coarse.N_v))))
+    chis = (chi_dense(pou, i) for i in range(pou.coarse.N_v))
+    return float(sum(c @ (A @ c) for c in chis))
 
 
 def looped_energy_min_pou(coarse, kappa):

@@ -28,7 +28,7 @@ from gmsfem.spaces import (LocalRegion, build_offline, build_online,
 from gmsfem.studies import (run_anisotropic_study, run_convergence_study,
                             run_eigendecay_study, run_nonlinear_study,
                             run_parametric_study, run_precond_study)
-from pou_oracles import pou_energy
+from pou_oracles import chi_dense, pou_energy
 
 WORKERS = 4
 
@@ -54,7 +54,7 @@ def test_criterion_01_partition_of_unity_suite():
         for nb in coarse.neighborhoods:
             mask[:] = True
             mask[nb.nodes] = False
-            leak = max(leak, float(np.abs(p.dense(nb.coarse_node)[mask]).max()))
+            leak = max(leak, float(np.abs(chi_dense(p, nb.coarse_node)[mask]).max()))
     e = {k: pou_energy(p, kappa) for k, p in pous.items()}
     elapsed = time.time() - t0
     ok = (defect <= 1e-12 and leak == 0.0

@@ -26,6 +26,13 @@ def test_invalid_json_is_usage_error(tmp_path, capsys):
     assert main(["--config", str(p), "mesh-info"]) == 2
 
 
+def test_undecodable_config_is_usage_error(tmp_path, capsys):
+    p = tmp_path / "bad.json"
+    p.write_bytes(b"\xff\xfe{")  # not UTF-8: a UnicodeDecodeError
+    assert main(["--config", str(p), "mesh-info"]) == 2
+    assert capsys.readouterr().err.count("\n") == 1
+
+
 def test_config_must_be_object(tmp_path):
     p = tmp_path / "list.json"
     p.write_text("[1, 2]")
@@ -116,16 +123,45 @@ def test_offline_requires_count_or_threshold(tmp_path):
     ("bogus", 1, "solve"),
     ("bogus", 1, "offline"),
     ("a_form", "kappa_stiffness", "solve"),
+    # every key is checked, whether or not the command reads it
+    ("count", "x", "mesh-info"),
+    ("threshold", -1, "mesh-info"),
+    ("snapshots", "spectral", "mesh-info"),
+    ("field", {"preset": "channels", "eta": 0.5}, "mesh-info"),
+    ("pou", 5, "gen-field"),
+    ("coarse", 0, "gen-field"),
+    ("a_form", "nope", "snapshots"),
+    ("source", "x", "offline"),
+    ("bc", "quadratic", "offline"),
+    ("online_count", 0, "solve"),
+    # rules across keys
+    ("threshold", 0.5, "offline"),  # count is given too
+    ("fine", 8, "solve"),  # the 8x8 grid does not resolve the channels
+    ("field", {"eta": 5.0}, "gen-field"),  # neither file nor preset
+    ("field", {"file": 3}, "solve"),  # not a path: open(3) reads fd 3
 ])
 def test_bad_pipeline_key_is_config_error(tmp_path, capsys, key, value,
                                           command):
     cfg = _cfg(tmp_path, {"fine": 20, "coarse": 4,
                           "field": {"preset": "channels", "eta": 1e3},
                           "count": 3, "online_count": 2, key: value})
-    assert main(["--config", cfg, command]) == 2
+    out = tmp_path / "out"
+    assert main(["--config", cfg, "--out", str(out), command]) == 2
     err = capsys.readouterr().err
     assert key in err
     assert err.count("\n") == 1  # one line, no traceback
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("workers", ["0", "-1"])
+@pytest.mark.parametrize("command", ["mesh-info", "study-eigendecay"])
+def test_workers_below_one_is_config_error(tmp_path, capsys, command, workers):
+    cfg = _cfg(tmp_path, {"fine": 20, "coarse": 4} if command == "mesh-info"
+               else {"fine_n": 20})
+    assert main(["--config", cfg, "--workers", workers, command]) == 2
+    err = capsys.readouterr().err
+    assert "--workers" in err
+    assert err.count("\n") == 1
 
 
 def test_solve_writes_solution(tmp_path, capsys):
@@ -136,7 +172,18 @@ def test_solve_writes_solution(tmp_path, capsys):
     assert main(["--config", cfg, "--out", str(out), "solve"]) == 0
     u = np.loadtxt(out)
     assert u.shape == (21 * 21,)
-    assert "coarse dim" in capsys.readouterr().out
+    text = capsys.readouterr().out
+    assert "coarse dim" in text and "%" in text
+
+
+def test_solve_reports_absolute_errors_for_a_zero_reference(tmp_path, capsys):
+    cfg = _cfg(tmp_path, {"fine": 20, "coarse": 4,
+                          "field": {"preset": "channels", "eta": 1e3},
+                          "count": 3, "source": 0, "bc": 0})
+    assert main(["--config", cfg, "solve"]) == 0
+    out = capsys.readouterr().out
+    assert "absolute squared errors" in out
+    assert "%" not in out  # no percentage of a zero reference
 
 
 def test_solve_output_does_not_depend_on_workers(tmp_path):
@@ -196,6 +243,11 @@ SMALL = {"fine_n": 20, "coarse_n": 4}
     ("study-nonlinear", dict(SMALL, offline_counts=[0])),
     ("study-nonlinear", dict(SMALL, u_range=[1.0])),
     ("study-eigendecay", {"fine_n": 20, "source_spacing": 5.0}),
+    # grids that do not resolve the study's fields
+    ("study-convergence", {"fine_n": 10, "coarse_n": 2}),
+    ("study-precond", {"fine_n": 10, "coarse_n": 2}),
+    ("study-nonlinear", {"fine_n": 10, "coarse_n": 2}),
+    ("study-parametric", {"fine_n": 12, "coarse_n": 2, "n_rb_values": [2]}),
 ])
 def test_bad_study_value_is_config_error(tmp_path, capsys, command, cfg):
     assert main(["--config", _cfg(tmp_path, cfg), command]) == 2

@@ -15,8 +15,9 @@ from gmsfem.pou import (bilinear_pou, energy_min_pou, multiscale_pou,
                         pou_gradient_weight)
 from gmsfem.solvers import NumericalError
 from gmsfem.spaces import LocalRegion
-from pou_oracles import (ORACLE_SIZES, dense_chi, dense_gradient_weight,
-                         looped_energy_min_pou, pou_energy, pou_problem)
+from pou_oracles import (ORACLE_SIZES, chi_dense, dense_chi,
+                         dense_gradient_weight, looped_energy_min_pou,
+                         pou_energy, pou_problem)
 
 
 @pytest.fixture(scope="module")
@@ -47,7 +48,7 @@ def test_support_contained_in_neighborhood(setup):
     for name, pou in _all_pous(coarse, kappa).items():
         for nb in coarse.neighborhoods:
             outside = np.setdiff1d(np.arange(fine.n_nodes), nb.nodes)
-            leak = np.abs(pou.dense(nb.coarse_node)[outside]).max()
+            leak = np.abs(chi_dense(pou, nb.coarse_node)[outside]).max()
             assert leak == 0.0, (name, nb.coarse_node)
 
 

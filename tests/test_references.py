@@ -7,8 +7,9 @@ class field or a non-dunder method) counts as referenced when one of
 those files, or the README's Python code, reads it as an attribute
 (x.name); a keyword argument that sets a field is no read.  The
 package's __init__ only re-exports, so it is no reference.  perfbench
-looks functions up by name, so its string constants count as references
-and reads too.
+looks functions up by name, so a string constant of demos/ or perfbench/
+that is a whole name or dotted name ("cli.main") counts as a reference
+to, and a read of, each of its parts; a word of prose does not.
 """
 
 import ast
@@ -21,6 +22,7 @@ MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 # the slow reference path that tests compare reduce_dirichlet against
 ALLOWED = {("fem.py", "apply_dirichlet")}
 WORD = re.compile(r"[A-Za-z_]\w*")
+DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
 README_CODE = re.compile(r"```python\n(.*?)```", re.S)
 
 
@@ -35,8 +37,16 @@ def defined(tree) -> list:
     return names
 
 
+def names_in_string(node) -> list:
+    """The parts of a string constant that is a name or a dotted name."""
+    if (isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and DOTTED.fullmatch(node.value)):
+        return node.value.split(".")
+    return []
+
+
 def used(tree, strings: bool) -> set:
-    """Names read, attributes and imported names; words of string
+    """Names read, attributes and imported names; the names of string
     constants too when strings is set."""
     out = set()
     for node in ast.walk(tree):
@@ -46,9 +56,8 @@ def used(tree, strings: bool) -> set:
             out.add(node.attr)
         elif isinstance(node, ast.alias):
             out.add(node.name)
-        elif (strings and isinstance(node, ast.Constant)
-              and isinstance(node.value, str)):
-            out.update(WORD.findall(node.value))
+        elif strings:
+            out.update(names_in_string(node))
     return out
 
 
@@ -56,7 +65,8 @@ def unreferenced(modules: dict, scripts: dict, text: str) -> list:
     """(module, name) pairs that nothing references.
 
     modules and scripts map a file name to its source; scripts' string
-    constants count as references, and so does any word of text.
+    constants that are names count as references, and so does any word
+    of text.
     """
     refs = set(WORD.findall(text))
     for src in modules.values():
@@ -86,15 +96,14 @@ def members(tree) -> list:
 
 
 def attributes_read(tree, strings: bool) -> set:
-    """Attributes loaded (x.name); words of string constants too when
+    """Attributes loaded (x.name); the names of string constants too when
     strings is set."""
     out = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
             out.add(node.attr)
-        elif (strings and isinstance(node, ast.Constant)
-              and isinstance(node.value, str)):
-            out.update(WORD.findall(node.value))
+        elif strings:
+            out.update(names_in_string(node))
     return out
 
 
@@ -144,6 +153,12 @@ def test_scan_finds_an_unread_member():
     assert unread_members(modules, {}, "") == [("m.py", "C.b"), ("m.py", "C.g")]
     assert unread_members(modules, {"run.py": "T = ('C', 'g')\n"}, "") == [
         ("m.py", "C.b")]
+    assert unread_members(modules, {"run.py": "T = ('m.C.g',)\n"}, "") == [
+        ("m.py", "C.b")]
+    # a docstring's words are prose, not names
+    docstring = '"""Call g on a C, then read b."""\n'
+    assert unread_members(modules, {"run.py": docstring}, "") == [
+        ("m.py", "C.b"), ("m.py", "C.g")]
     prose = "call `c.b` and `c.g()`\n"
     assert unread_members(modules, {}, prose) == [("m.py", "C.b"),
                                                   ("m.py", "C.g")]
