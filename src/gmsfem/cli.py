@@ -341,6 +341,10 @@ def cmd_self_test(cfg: dict, args) -> int:
     return 0 if ok else 3
 
 
+# the flags a command does not read, which exit 2 when given
+UNREAD = {"mesh-info": ("out",), "snapshots": ("out",), "online": ("out",),
+          "self-test": ("config", "out")}
+
 COMMANDS = {"mesh-info": cmd_mesh_info, "gen-field": cmd_gen_field,
             "snapshots": cmd_snapshots, "offline": cmd_offline,
             "online": cmd_online, "solve": cmd_solve,
@@ -371,6 +375,9 @@ def main(argv=None) -> int:
             cfg = _checked(SELF_TEST, args.command, args.workers)
         else:
             cfg = _checked(_load_config(args.config), args.command, args.workers)
+        for flag in UNREAD.get(args.command, ()):
+            if getattr(args, flag) is not None:
+                raise ConfigError(f"{args.command} does not read --{flag}")
         return COMMANDS[args.command](cfg, args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

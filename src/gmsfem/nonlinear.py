@@ -93,8 +93,9 @@ def build_nonlinear_offline(coarse: CoarseMesh, nl: NonlinearCoefficient,
     Per neighborhood and sample value: the dominant eigenvectors of the
     Neumann pencil (kappa-mass, kappa-stiffness); their union is reduced
     with the sample-averaged coefficient, keeping offline_count modes.
-    The kept modes are eigen-ordered, so spaces.truncate of one build
-    gives the space of any smaller count.
+    The kept modes are eigen-ordered, so spaces.truncate of one build gives
+    the space of any smaller count, to 1e-12 relative: each build solves
+    its own count + 1 leading pairs, which round differently.
     """
     fields = [nl.at_value(v) for v in sample_values]
     avg = CoefficientField(np.mean([f.values for f in fields], axis=0))

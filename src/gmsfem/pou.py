@@ -137,25 +137,26 @@ def pou_gradient_weight(pou: PartitionOfUnity, kappa: CoefficientField,
     """Weight sum_k kappa |grad chi_k|^2 on the triangles of the given cells.
 
     One value per triangle, in the order of fem._cells_to_triangles(cells).
-    Only the chi_k whose neighborhood touches the cells are read, and each
-    triangle sums them in ascending k from 0.0, so a triangle's weight has
-    the same bits whichever cells are asked for.
+    Each chi_k is read only on the given triangles of its neighborhood, and
+    each triangle sums its terms in ascending k from 0.0, so a triangle's
+    weight has the same bits whichever cells are asked for.
     """
     fine = pou.coarse.fine
     cells = np.asarray(cells, dtype=np.int64)
     tris = _cells_to_triangles(cells)
     b, c, area = _triangle_geometry(fine, tris)
-    conn = fine.triangles[tris]
     inv2a = 1.0 / (2.0 * area)
     k1 = kappa.k11()[tris // 2]
     k2 = kappa.k22()[tris // 2]
+    pos = np.full(fine.n_cells, -1, dtype=np.int64)
+    pos[cells] = np.arange(len(cells))
     ci, cj = cells % fine.nx, cells // fine.nx
     total = np.zeros(len(tris))
     for k in pou.coarse.nodes_meeting((ci.min(), ci.max() + 1, cj.min(), cj.max() + 1)):
-        vals = pou.at(k, conn)  # (T, 3)
-        if not vals.any():
-            continue
-        gx = (vals * b).sum(axis=1) * inv2a
-        gy = (vals * c).sum(axis=1) * inv2a
-        total += k1 * gx * gx + k2 * gy * gy
+        p = pos[pou.coarse.neighborhoods[k].cells]
+        t = _cells_to_triangles(p[p >= 0])  # positions in tris
+        vals = pou.at(k, fine.triangles[tris[t]])  # (T, 3)
+        gx = (vals * b[t]).sum(axis=1) * inv2a[t]
+        gy = (vals * c[t]).sum(axis=1) * inv2a[t]
+        total[t] += k1[t] * gx * gx + k2[t] * gy * gy
     return total

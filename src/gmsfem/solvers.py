@@ -1,4 +1,4 @@
-"""Numerical kernels: the dense full-spectrum and the sparse shift-invert
+"""Numerical kernels: the dense leading-subset and the sparse shift-invert
 generalized eigensolvers (with a dense oracle for the tests), direct factors, and PCG with a two-level additive Schwarz preconditioner
 and a Lanczos condition estimate recovered from the CG coefficients."""
 
@@ -67,14 +67,14 @@ def dense_gen_eig(A: np.ndarray, S: np.ndarray):
     return lam, vecs
 
 
-def full_gen_eig(A, S):
-    """Every eigenpair of A psi = lambda S psi with A, S symmetric positive
-    semidefinite (dense or scipy.sparse) and A + S positive definite, from
-    one LAPACK call.
+def full_gen_eig(A, S, n=None):
+    """The n leading eigenpairs of A psi = lambda S psi, every pair when n
+    is None or not below the size, with A, S symmetric positive
+    semidefinite (dense or scipy.sparse) and A + S positive definite.
 
-    Solves S v = mu (A+S) v by scipy.linalg.eigh (Cholesky-reduced sygvd),
-    which returns (A+S)-orthonormal v; lambda = (1 - mu)/mu and
-    psi = v/sqrt(1 - mu) is A-normalized.  A pair is an S-null mode,
+    Solves S v = mu (A+S) v by scipy.linalg.eigh for the n smallest mu,
+    the n largest lambda, with (A+S)-orthonormal v; lambda = (1 - mu)/mu
+    and psi = v/sqrt(1 - mu) is A-normalized.  A pair is an S-null mode,
     lambda = inf, when its S Rayleigh quotient psi'S psi/psi'psi is at most
     INF_CUTOFF * ||S||_1: the quotient is read from the vector itself, so
     the test does not depend on how accurately mu is resolved near 0.  The
@@ -89,8 +89,9 @@ def full_gen_eig(A, S):
     A_d, S_d = (M.toarray() if sp.issparse(M) else np.asarray(M, dtype=float)
                 for M in (A, S))
     A_d, S_d = (0.5 * (M + M.T) for M in (A_d, S_d))
+    subset = None if n is None or n >= A.shape[0] else [0, n - 1]
     try:
-        mu, V = la.eigh(S_d, A_d + S_d)
+        mu, V = la.eigh(S_d, A_d + S_d, subset_by_index=subset)
     except la.LinAlgError:
         raise NumericalError("A+S of the pencil is not positive definite") from None
     a_norm2 = 1.0 - mu

@@ -20,7 +20,7 @@ import scipy.linalg as la
 import scipy.sparse as sp
 
 from .coeff import CoefficientField
-from .fem import assemble_mass, assemble_stiffness
+from .fem import _cells_to_triangles, assemble_mass, assemble_stiffness
 from .mesh import CoarseMesh, FineMesh, Neighborhood, _box_boundary_nodes
 from .pou import pou_gradient_weight
 from .solvers import (NumericalError, SparseFactor, full_gen_eig,
@@ -76,7 +76,7 @@ class SnapshotSpace:
 class ReducedSpace:
     region: LocalRegion
     columns: np.ndarray       # (n_local_nodes, L) selected eigenvectors
-    eigenvalues: np.ndarray   # full non-increasing spectrum (inf first)
+    eigenvalues: np.ndarray   # the solved leading ones (_reduce), inf first
     stage: str                # 'offline' | 'online'
     selection: dict = field(default_factory=dict)
 
@@ -85,11 +85,9 @@ class ReducedSpace:
         return self.columns.shape[1]
 
     def lambda_star(self) -> float:
-        """Largest eigenvalue whose eigenvector was not selected."""
+        """Largest eigenvalue whose eigenvector was not selected (0 if none)."""
         L = self.dim
-        if L >= len(self.eigenvalues):
-            return 0.0
-        return float(self.eigenvalues[L])
+        return float(self.eigenvalues[L]) if L < len(self.eigenvalues) else 0.0
 
 
 def harmonic_snapshots(mesh: FineMesh, region: LocalRegion,
@@ -148,17 +146,19 @@ def spectral_snapshots(A_t: sp.spmatrix, S_t: sp.spmatrix, count: int,
 
 
 def assemble_a_form(mesh: FineMesh, region: LocalRegion, kappa: CoefficientField,
-                    a_form: str, pou=None) -> sp.csr_matrix:
-    """Local a-form matrix on the region's nodes."""
+                    a_form: str, pou=None, weight=None) -> sp.csr_matrix:
+    """Local a-form matrix on the region's nodes; weight, if given, is
+    pou_gradient_weight on every fine cell, gathered for pou_grad_mass."""
     if a_form == "kappa_mass":
         return assemble_mass(mesh, weight=kappa.k11(), restrict_to=region.nodes,
                              cells=region.cells)
     if pou is None:
         raise ValueError(f"a_form {a_form!r} needs a partition of unity")
     if a_form == "pou_grad_mass":
+        w = (pou_gradient_weight(pou, kappa, region.cells) if weight is None
+             else weight[_cells_to_triangles(region.cells)])
         return assemble_mass(mesh, restrict_to=region.nodes, cells=region.cells,
-                             triangle_weight=pou_gradient_weight(pou, kappa,
-                                                                 region.cells))
+                             triangle_weight=w)
     if a_form == "pou_stiffness":
         return _pou_stiffness_form(mesh, region, kappa, pou)
     raise ValueError(f"unknown a_form {a_form!r}")
@@ -207,8 +207,6 @@ def _orthonormal_transform(G: np.ndarray, drop_tol: float):
 def _select(lams: np.ndarray, count=None, threshold=None) -> int:
     n_inf = int(np.sum(np.isinf(lams)))
     if count is not None:
-        if count < 1:
-            raise ValueError(f"count must be >= 1, not {count}")
         return min(int(count), len(lams))
     if threshold is not None:
         finite = lams[np.isfinite(lams)]
@@ -220,23 +218,27 @@ def _select(lams: np.ndarray, count=None, threshold=None) -> int:
 
 
 def _reduce(R, a_mat, s_mat, stage: str, region, count=None, threshold=None,
-            drop_tol=None) -> ReducedSpace:
-    """Project (a_mat, s_mat) onto the columns R, solve the projected
-    pencil with solvers.full_gen_eig and keep the dominant eigenvectors.
+            drop_tol=None, pairs=None) -> ReducedSpace:
+    """Project (a_mat, s_mat) onto the columns R (None: the identity, never
+    whitened), solve the projected pencil with solvers.full_gen_eig for its
+    leading `pairs` pairs, else count + 1 (enough for lambda_star), else all
+    of them, and keep those eigenvalues and the dominant eigenvectors.
 
     With drop_tol the columns are first whitened in the combined (a+s)
     inner product, dropping dependent ones.  An a+s that is not positive
     definite, a kept column without an a-norm, or any other kernel
     failure raises NumericalError naming the region.
     """
-    A = R.T @ (a_mat @ R)
-    S = R.T @ (s_mat @ R)
+    if count is not None and count < 1:
+        raise ValueError(f"count must be >= 1, not {count}")
+    pairs = pairs or (None if count is None else count + 1)
+    A, S = (a_mat, s_mat) if R is None else (R.T @ (a_mat @ R), R.T @ (s_mat @ R))
     T, dropped = None, 0
-    if drop_tol is not None:
+    if drop_tol is not None and R is not None:
         T, dropped = _orthonormal_transform(A + S, drop_tol)
         A, S = T.T @ A @ T, T.T @ S @ T
     try:
-        lam, vecs = full_gen_eig(A, S)
+        lam, vecs = full_gen_eig(A, S, pairs)
     except NumericalError as exc:
         raise NumericalError(f"region {region.label}: {exc}") from None
     L = _select(lam, count=count, threshold=threshold)
@@ -246,26 +248,27 @@ def _reduce(R, a_mat, s_mat, stage: str, region, count=None, threshold=None,
     sel = {"count": count, "threshold": threshold, "kept": L,
            "dropped_snapshots": dropped}
     kept = vecs[:, :L] if T is None else T @ vecs[:, :L]
-    return ReducedSpace(region=region, columns=R @ kept,
+    # a copy, not a view that would keep every solved eigenvector alive
+    return ReducedSpace(region=region, columns=kept.copy() if R is None else R @ kept,
                         eigenvalues=lam, stage=stage, selection=sel)
 
 
 def build_offline(snap: SnapshotSpace, a_mat: sp.spmatrix, s_mat: sp.spmatrix,
-                  count=None, threshold=None, drop_tol: float = 1e-10) -> ReducedSpace:
+                  count=None, threshold=None, drop_tol: float = 1e-10,
+                  pairs=None) -> ReducedSpace:
     """Project the forms onto the snapshots and keep dominant eigenvectors.
 
-    Kept columns are a-orthonormal.  Fine-grid snapshots are the identity,
-    so the projected pencil is the local pencil itself, whole spectrum,
-    and drop_tol is not used.  The other kinds' columns can be dependent;
-    they are first whitened in the combined (a+s) inner product (drop_tol
-    removes dependent columns), which keeps the projected pencil well
-    conditioned while preserving the s-null modes whose eigenvalues are
-    reported as inf.
+    Kept columns are a-orthonormal; pairs is as in _reduce.  Fine-grid
+    snapshots are the identity, so the pencil is the local pencil itself,
+    with no product, and drop_tol is not used.  The other kinds' columns
+    can be dependent; they are first whitened in the combined (a+s) inner
+    product (drop_tol removes dependent columns), which keeps the projected
+    pencil well conditioned while preserving the s-null modes whose
+    eigenvalues are reported as inf.
     """
-    if snap.kind == "fine-grid":
-        drop_tol = None
-    space = _reduce(snap.columns, a_mat, s_mat, "offline", snap.region,
-                    count=count, threshold=threshold, drop_tol=drop_tol)
+    space = _reduce(None if snap.kind == "fine-grid" else snap.columns, a_mat,
+                    s_mat, "offline", snap.region, count=count,
+                    threshold=threshold, drop_tol=drop_tol, pairs=pairs)
     space.selection["snapshot_kind"] = snap.kind
     return space
 
@@ -326,10 +329,12 @@ def snapshot_space(mesh: FineMesh, region: LocalRegion, kind: str,
 
 def local_forms(mesh: FineMesh, kappa: CoefficientField,
                 a_form: str = "pou_grad_mass", pou=None):
-    """region -> (a_mat, s_mat) for one pass over the regions."""
+    """region -> (a_mat, s_mat), with one pou_gradient_weight for all regions."""
+    weight = (pou_gradient_weight(pou, kappa, np.arange(mesh.n_cells))
+              if a_form == "pou_grad_mass" and pou is not None else None)
 
     def forms(region):
-        return (assemble_a_form(mesh, region, kappa, a_form, pou),
+        return (assemble_a_form(mesh, region, kappa, a_form, pou, weight),
                 assemble_s_form(mesh, region, kappa))
 
     return forms
@@ -338,36 +343,38 @@ def local_forms(mesh: FineMesh, kappa: CoefficientField,
 def offline_spaces(coarse: CoarseMesh, kappa: CoefficientField,
                    snapshots: str = "fine", a_form: str = "pou_grad_mass",
                    pou=None, count=None, threshold=None, samples=None,
-                   snap_per_sample: int = None,
-                   workers: int = 1) -> dict:
-    """Offline space per coarse node: {node: ReducedSpace}.
+                   snap_per_sample: int = None, workers: int = 1,
+                   pairs=None, nodes=None) -> dict:
+    """Offline space per coarse node, or per given node: {node: ReducedSpace}.
 
     Per neighborhood, the snapshot space (snapshot_space) is reduced with
-    the a- and s-forms of kappa (local_forms) by build_offline; the nodes
-    are mapped with parallel_map, so the result does not depend on
-    workers.  Each node's snapshots are dropped once its space is built.
-    For several counts, build at the largest and truncate.
+    the a- and s-forms of kappa (local_forms) by build_offline (with
+    pairs); the nodes are mapped with parallel_map, so the result does not
+    depend on workers.  Each node's snapshots are dropped once its space
+    is built.  For several counts, build at the largest and truncate.
     """
     mesh = coarse.fine
     forms = local_forms(mesh, kappa, a_form, pou)
 
-    def one(nb):
-        region = LocalRegion.from_neighborhood(nb)
+    def one(i):
+        region = LocalRegion.from_neighborhood(coarse.neighborhoods[i])
         snap = snapshot_space(mesh, region, snapshots, kappa, samples,
                               snap_per_sample)
         a_mat, s_mat = forms(region)
         return build_offline(snap, a_mat, s_mat, count=count,
-                             threshold=threshold)
+                             threshold=threshold, pairs=pairs)
 
-    return dict(enumerate(parallel_map(one, coarse.neighborhoods, workers)))
+    nodes = range(coarse.N_v) if nodes is None else nodes
+    return dict(zip(nodes, parallel_map(one, nodes, workers)))
 
 
 def count_unbounded(lams_hi: np.ndarray, lams_lo: np.ndarray,
                     growth: float) -> int:
     """Modes whose eigenvalue grows by more than `growth` between two contrasts.
 
-    Spectra are compared positionally (both non-increasing); inf modes at
-    both contrasts always count.
+    The solved leading eigenvalues (both non-increasing) are compared
+    positionally, over the shorter; a count that reaches its end may go on
+    beyond it.  inf modes at both contrasts always count.
     """
     n = min(len(lams_hi), len(lams_lo))
     count = 0

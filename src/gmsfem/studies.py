@@ -39,6 +39,8 @@ PCG_TOL = 1e-10
 PCG_MAX_IT = 600
 # the two sample contrasts at which detect_mode_counts compares spectra
 ETA_HI, ETA_LO = 1e4, 1e2
+# the leading eigenvalues it compares (a node that counts all is re-solved whole)
+DETECT_PAIRS = 6
 # stopping rule of the fine-grid Picard reference
 REF_TOL, REF_MAX_IT = 1e-12, 50
 
@@ -175,22 +177,23 @@ def detect_mode_counts(coarse, field_at, workers: int = 1) -> dict:
 
     field_at(eta) yields the coefficient at a given contrast; a mode counts
     as unbounded when its eigenvalue grows faster than sqrt(ETA_HI/ETA_LO)
-    between ETA_LO and ETA_HI.
+    between ETA_LO and ETA_HI.  Only DETECT_PAIRS leading eigenvalues are
+    solved, and the whole spectrum of a node where they all count.
     """
     growth = float(np.sqrt(ETA_HI / ETA_LO))
-    spectra = {}
-    for eta in (ETA_HI, ETA_LO):
-        kappa = field_at(eta)
-        # only the spectra are read, and they are whole whatever the count
-        spaces = offline_spaces(coarse, kappa, "fine",
-                                pou=multiscale_pou(coarse, kappa), count=1,
-                                workers=workers)
-        spectra[eta] = {i: s.eigenvalues for i, s in spaces.items()}
-    counts = {}
-    for i in spectra[ETA_HI]:
-        counts[i] = max(1, count_unbounded(spectra[ETA_HI][i],
-                                           spectra[ETA_LO][i], growth))
-    return counts
+    fields = [(k, multiscale_pou(coarse, k)) for k in map(field_at, (ETA_HI, ETA_LO))]
+
+    def unbounded(**kw):
+        hi, lo = (offline_spaces(coarse, kappa, "fine", pou=pou,
+                                 workers=workers, **kw) for kappa, pou in fields)
+        return {i: count_unbounded(hi[i].eigenvalues, lo[i].eigenvalues, growth)
+                for i in hi}
+
+    counts = unbounded(count=1, pairs=DETECT_PAIRS)
+    full = [i for i, c in counts.items() if c >= DETECT_PAIRS]
+    if full:
+        counts.update(unbounded(nodes=full))
+    return {i: max(1, c) for i, c in counts.items()}
 
 
 def run_precond_study(fine_n: int = 100, coarse_n: int = 10,

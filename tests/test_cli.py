@@ -164,6 +164,25 @@ def test_workers_below_one_is_config_error(tmp_path, capsys, command, workers):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("flag,command", [
+    ("--config", "self-test"), ("--out", "self-test"), ("--out", "mesh-info"),
+    ("--out", "snapshots"), ("--out", "online")])
+def test_flag_the_command_does_not_read_is_config_error(tmp_path, capsys,
+                                                       flag, command):
+    cfg = _cfg(tmp_path, {"fine": 20, "coarse": 4,
+                          "field": {"preset": "channels", "eta": 1e3},
+                          "count": 3, "online_count": 2})
+    out = tmp_path / "out"
+    argv = [flag, str(tmp_path / "nonexistent.json") if flag == "--config"
+            else str(out), command]
+    if command != "self-test":
+        argv = ["--config", cfg] + argv
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert flag in err and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_solve_writes_solution(tmp_path, capsys):
     cfg = _cfg(tmp_path, {"fine": 20, "coarse": 4,
                           "field": {"preset": "channels", "eta": 1e3},

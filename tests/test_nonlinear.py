@@ -112,23 +112,33 @@ def test_alpha_zero_is_bit_exact_linear(setup):
 
 
 def test_shared_snapshot_stage_matches_offline_built_inside(setup):
-    # truncating one offline build at the largest count must give the
-    # very bits of a build per count, and so the same Picard solve
+    # truncating one offline build at the largest count must give a build
+    # per count, and so the same Picard solve, to 1e-12 relative: a build
+    # solves count + 1 leading pairs, which round differently per count
     fine, coarse, nl = setup
     samples = np.linspace(0.0, 2.5, 4)
     pou = multiscale_pou(coarse, nl.at_value(1.25))
     top = build_nonlinear_offline(coarse, nl, samples, 4, 5)
+
+    def close(x, y):
+        return np.linalg.norm(x - y) <= 1e-12 * np.linalg.norm(y)
+
     for count in (3, 5):
         fast = {i: truncate(s, min(count, s.dim)) for i, s in top.items()}
         slow = build_nonlinear_offline(coarse, nl, samples, 4, count)
         for i in slow:
-            assert np.array_equal(fast[i].columns, slow[i].columns)
-            assert np.array_equal(fast[i].eigenvalues, slow[i].eigenvalues)
+            assert close(fast[i].columns, slow[i].columns)
+            # compared as the solved mu = 1/(1 + lambda) in [0, 1]: a huge
+            # lambda, a near S-null mode, is known only as well as its mu
+            n = len(slow[i].eigenvalues)
+            mu_fast, mu_slow = (1.0 / (1.0 + s[i].eigenvalues[:n])
+                                for s in (fast, slow))
+            assert np.abs(mu_fast - mu_slow).max() <= 1e-12
         a = picard_solve(coarse, nl, 1.0, BC, pou, samples, fast)
         b = picard_solve(coarse, nl, 1.0, BC, pou, samples, slow)
         assert a.dims == b.dims
         assert a.iterations == b.iterations
-        assert np.array_equal(a.u, b.u)
+        assert close(a.u, b.u)
 
 
 def _counted(calls, name, fn):

@@ -8,12 +8,13 @@ from scipy.sparse.linalg import ArpackNoConvergence
 from gmsfem import solvers, spaces
 from gmsfem.coeff import CoefficientField, cell_box_from_coords, evaluate
 from gmsfem.coupling import build_coarse_basis, coarse_dirichlet_lift
-from gmsfem.fem import BoundaryCondition, assemble_mass, assemble_stiffness
+from gmsfem.fem import (BoundaryCondition, _cells_to_triangles, assemble_mass,
+                        assemble_stiffness)
 from gmsfem.fields import (affine_four_term, channels_and_inclusions,
                            channels_and_inclusions_alt)
 from gmsfem.mesh import build_coarse_mesh, build_fine_mesh
 from gmsfem.nonlinear import NonlinearCoefficient
-from gmsfem.pou import multiscale_pou
+from gmsfem.pou import multiscale_pou, pou_gradient_weight
 from gmsfem.solvers import (NumericalError, dense_gen_eig, full_gen_eig,
                             leading_gen_eig)
 from gmsfem.spaces import (LocalRegion, SnapshotSpace, assemble_a_form,
@@ -229,6 +230,23 @@ def test_pou_a_forms_match_dense_oracle(sized):
                 fine, region, kappa, pou)), name
 
 
+def test_one_pass_gradient_weight_is_the_per_region_weight(sized):
+    # local_forms computes the pou_grad_mass weight once on every cell and
+    # gathers it per region: the very bits of the per-region weight
+    fine, coarse, kappa, pous = sized
+    for name, pou in pous.items():
+        whole = pou_gradient_weight(pou, kappa, np.arange(fine.n_cells))
+        forms = local_forms(fine, kappa, "pou_grad_mass", pou)
+        for nb in coarse.neighborhoods:
+            region = LocalRegion.from_neighborhood(nb)
+            own = pou_gradient_weight(pou, kappa, region.cells)
+            assert np.array_equal(whole[_cells_to_triangles(region.cells)],
+                                  own), name
+            got = forms(region)[0]
+            want = assemble_a_form(fine, region, kappa, "pou_grad_mass", pou)
+            assert np.array_equal(got.toarray(), want.toarray()), name
+
+
 def test_coarse_basis_and_lift_match_dense_oracle(sized):
     fine, coarse, kappa, pous = sized
     bc = BoundaryCondition(lambda x, y: x + y)
@@ -266,6 +284,9 @@ def test_offline_reproduces_dense_eigenproblem(setup):
     off = build_offline(snap, a_mat, s_mat, count=8, drop_tol=None)
     lam, _ = dense_gen_eig(np.asarray(a_mat.todense()),
                            np.asarray(s_mat.todense()))
+    # count + 1 leading eigenvalues are solved: lambda_star is the last
+    assert len(off.eigenvalues) == 9
+    lam = lam[:9]
     fin = np.isfinite(off.eigenvalues) & np.isfinite(lam)
     rel = np.abs(off.eigenvalues[fin] - lam[fin]) / np.abs(lam[fin])
     assert rel.max() < 1e-7
@@ -465,6 +486,65 @@ def test_offline_spaces_spectral_union_matches_the_hand_written_loop(
         want = build_offline(snap, a_mat, s_mat, count=4)
         assert np.array_equal(got[i].columns, want.columns)
         assert np.array_equal(got[i].eigenvalues, want.eigenvalues)
+
+
+def _reduced_pencils(setup, monkeypatch, snapshots):
+    """The pencils that offline_spaces hands the kernel, per node."""
+    fine, coarse, kappa, pou, _ = setup
+    pencils = []
+
+    def recording(A, S, n=None):
+        pencils.append((A, S))
+        return full_gen_eig(A, S, n)
+
+    monkeypatch.setattr(spaces, "full_gen_eig", recording)
+    if snapshots == "spectral":
+        samples = [kappa, CoefficientField(np.sqrt(kappa.values))]
+        offline_spaces(coarse, kappa, "spectral", "kappa_mass", count=4,
+                       samples=samples, snap_per_sample=4)
+    else:
+        offline_spaces(coarse, kappa, snapshots, pou=pou, count=4)
+    return pencils
+
+
+@pytest.mark.parametrize("snapshots", ["fine", "harmonic", "spectral"])
+def test_leading_pairs_match_the_whole_spectrum(setup, monkeypatch, snapshots):
+    # the fine-grid pencil, the whitened harmonic one and the whitened
+    # spectral union; mu = 1/(1 + lambda) in [0, 1] is what the kernel
+    # solves, and a huge or tiny lambda is only known as well as its mu
+    pencils = _reduced_pencils(setup, monkeypatch, snapshots)
+    n_inf = 0
+    for A, S in pencils:
+        lam_all, vec_all = full_gen_eig(A, S)
+        n_inf += int(np.isinf(lam_all).sum())
+        for n in (1, 2, 5, 9):
+            lam, vec = full_gen_eig(A, S, n)
+            n = min(n, A.shape[0])
+            assert vec.shape == (A.shape[0], n)
+            assert np.array_equal(np.isinf(lam), np.isinf(lam_all[:n]))
+            assert np.abs(1.0 / (1.0 + lam) - 1.0 / (1.0 + lam_all[:n])).max() \
+                <= 1e-12
+            # a mode well apart from its neighbours is the same vector
+            mu = np.append(1.0 / (1.0 + lam_all), 1.0)
+            for j in range(n):
+                if min(mu[j + 1] - mu[j], mu[j] - mu[j - 1] if j else 1.0) > 1e-3:
+                    d = min(np.linalg.norm(vec[:, j] - s * vec_all[:, j])
+                            for s in (1.0, -1.0))
+                    assert d <= 1e-8 * np.linalg.norm(vec_all[:, j])
+    assert n_inf >= 1  # the flag is exercised
+
+
+def test_count_below_one_fails_before_any_eigensolve(setup, monkeypatch):
+    fine, _, kappa, _, region = setup
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("eigensolve before the count check")
+
+    monkeypatch.setattr(spaces, "full_gen_eig", no_solve)
+    with pytest.raises(ValueError, match="count must be >= 1"):
+        build_offline(fine_grid_snapshots(region),
+                      assemble_a_form(fine, region, kappa, "kappa_mass"),
+                      assemble_s_form(fine, region, kappa), count=0)
 
 
 @pytest.mark.parametrize("count", [0, -2])
