@@ -218,11 +218,11 @@ def _select(lams: np.ndarray, count=None, threshold=None) -> int:
 
 
 def _reduce(R, a_mat, s_mat, stage: str, region, count=None, threshold=None,
-            drop_tol=None, pairs=None) -> ReducedSpace:
+            drop_tol=None) -> ReducedSpace:
     """Project (a_mat, s_mat) onto the columns R (None: the identity, never
     whitened), solve the projected pencil with solvers.full_gen_eig for its
-    leading `pairs` pairs, else count + 1 (enough for lambda_star), else all
-    of them, and keep those eigenvalues and the dominant eigenvectors.
+    count + 1 leading pairs (enough for lambda_star), or all of them without
+    a count, and keep those eigenvalues and the dominant eigenvectors.
 
     With drop_tol the columns are first whitened in the combined (a+s)
     inner product, dropping dependent ones.  An a+s that is not positive
@@ -231,14 +231,13 @@ def _reduce(R, a_mat, s_mat, stage: str, region, count=None, threshold=None,
     """
     if count is not None and count < 1:
         raise ValueError(f"count must be >= 1, not {count}")
-    pairs = pairs or (None if count is None else count + 1)
     A, S = (a_mat, s_mat) if R is None else (R.T @ (a_mat @ R), R.T @ (s_mat @ R))
     T, dropped = None, 0
     if drop_tol is not None and R is not None:
         T, dropped = _orthonormal_transform(A + S, drop_tol)
         A, S = T.T @ A @ T, T.T @ S @ T
     try:
-        lam, vecs = full_gen_eig(A, S, pairs)
+        lam, vecs = full_gen_eig(A, S, None if count is None else count + 1)
     except NumericalError as exc:
         raise NumericalError(f"region {region.label}: {exc}") from None
     L = _select(lam, count=count, threshold=threshold)
@@ -254,21 +253,19 @@ def _reduce(R, a_mat, s_mat, stage: str, region, count=None, threshold=None,
 
 
 def build_offline(snap: SnapshotSpace, a_mat: sp.spmatrix, s_mat: sp.spmatrix,
-                  count=None, threshold=None, drop_tol: float = 1e-10,
-                  pairs=None) -> ReducedSpace:
+                  count=None, threshold=None, drop_tol: float = 1e-10) -> ReducedSpace:
     """Project the forms onto the snapshots and keep dominant eigenvectors.
 
-    Kept columns are a-orthonormal; pairs is as in _reduce.  Fine-grid
-    snapshots are the identity, so the pencil is the local pencil itself,
-    with no product, and drop_tol is not used.  The other kinds' columns
-    can be dependent; they are first whitened in the combined (a+s) inner
-    product (drop_tol removes dependent columns), which keeps the projected
-    pencil well conditioned while preserving the s-null modes whose
-    eigenvalues are reported as inf.
+    Kept columns are a-orthonormal.  Fine-grid snapshots are the identity,
+    so the pencil is the local pencil itself, with no product, and drop_tol
+    is not used.  The other kinds' columns can be dependent; they are first
+    whitened in the combined (a+s) inner product (drop_tol removes
+    dependent columns), which keeps the projected pencil well conditioned
+    while preserving the s-null modes whose eigenvalues are reported as inf.
     """
     space = _reduce(None if snap.kind == "fine-grid" else snap.columns, a_mat,
                     s_mat, "offline", snap.region, count=count,
-                    threshold=threshold, drop_tol=drop_tol, pairs=pairs)
+                    threshold=threshold, drop_tol=drop_tol)
     space.selection["snapshot_kind"] = snap.kind
     return space
 
@@ -343,29 +340,28 @@ def local_forms(mesh: FineMesh, kappa: CoefficientField,
 def offline_spaces(coarse: CoarseMesh, kappa: CoefficientField,
                    snapshots: str = "fine", a_form: str = "pou_grad_mass",
                    pou=None, count=None, threshold=None, samples=None,
-                   snap_per_sample: int = None, workers: int = 1,
-                   pairs=None, nodes=None) -> dict:
-    """Offline space per coarse node, or per given node: {node: ReducedSpace}.
+                   snap_per_sample: int = None,
+                   workers: int = 1) -> dict:
+    """Offline space per coarse node: {node: ReducedSpace}.
 
     Per neighborhood, the snapshot space (snapshot_space) is reduced with
-    the a- and s-forms of kappa (local_forms) by build_offline (with
-    pairs); the nodes are mapped with parallel_map, so the result does not
-    depend on workers.  Each node's snapshots are dropped once its space
-    is built.  For several counts, build at the largest and truncate.
+    the a- and s-forms of kappa (local_forms) by build_offline; the nodes
+    are mapped with parallel_map, so the result does not depend on
+    workers.  Each node's snapshots are dropped once its space is built.
+    For several counts, build at the largest and truncate.
     """
     mesh = coarse.fine
     forms = local_forms(mesh, kappa, a_form, pou)
 
-    def one(i):
-        region = LocalRegion.from_neighborhood(coarse.neighborhoods[i])
+    def one(nb):
+        region = LocalRegion.from_neighborhood(nb)
         snap = snapshot_space(mesh, region, snapshots, kappa, samples,
                               snap_per_sample)
         a_mat, s_mat = forms(region)
         return build_offline(snap, a_mat, s_mat, count=count,
-                             threshold=threshold, pairs=pairs)
+                             threshold=threshold)
 
-    nodes = range(coarse.N_v) if nodes is None else nodes
-    return dict(zip(nodes, parallel_map(one, nodes, workers)))
+    return dict(enumerate(parallel_map(one, coarse.neighborhoods, workers)))
 
 
 def count_unbounded(lams_hi: np.ndarray, lams_lo: np.ndarray,

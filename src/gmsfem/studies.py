@@ -39,7 +39,7 @@ PCG_TOL = 1e-10
 PCG_MAX_IT = 600
 # the two sample contrasts at which detect_mode_counts compares spectra
 ETA_HI, ETA_LO = 1e4, 1e2
-# the leading eigenvalues it compares (a node that counts all is re-solved whole)
+# the leading eigenvalues it compares (all count at a node: whole spectra)
 DETECT_PAIRS = 6
 # stopping rule of the fine-grid Picard reference
 REF_TOL, REF_MAX_IT = 1e-12, 50
@@ -178,7 +178,7 @@ def detect_mode_counts(coarse, field_at, workers: int = 1) -> dict:
     field_at(eta) yields the coefficient at a given contrast; a mode counts
     as unbounded when its eigenvalue grows faster than sqrt(ETA_HI/ETA_LO)
     between ETA_LO and ETA_HI.  Only DETECT_PAIRS leading eigenvalues are
-    solved, and the whole spectrum of a node where they all count.
+    solved, and every node's whole spectrum if they all count at a node.
     """
     growth = float(np.sqrt(ETA_HI / ETA_LO))
     fields = [(k, multiscale_pou(coarse, k)) for k in map(field_at, (ETA_HI, ETA_LO))]
@@ -189,10 +189,10 @@ def detect_mode_counts(coarse, field_at, workers: int = 1) -> dict:
         return {i: count_unbounded(hi[i].eigenvalues, lo[i].eigenvalues, growth)
                 for i in hi}
 
-    counts = unbounded(count=1, pairs=DETECT_PAIRS)
-    full = [i for i, c in counts.items() if c >= DETECT_PAIRS]
-    if full:
-        counts.update(unbounded(nodes=full))
+    counts = unbounded(count=DETECT_PAIRS - 1)
+    if max(counts.values()) >= DETECT_PAIRS:
+        # a threshold solves the whole spectrum; 1.0 keeps few columns
+        counts = unbounded(threshold=1.0)
     return {i: max(1, c) for i, c in counts.items()}
 
 

@@ -46,7 +46,8 @@ def test_detect_mode_counts_small():
 
 
 def test_detect_mode_counts_keeps_one_column_per_node(monkeypatch):
-    # only the spectra are read: a DETECT_PAIRS prefix of each
+    # only the spectra are read: a DETECT_PAIRS prefix of each, so a node
+    # keeps the few columns of count DETECT_PAIRS - 1, not its whole space
     fine = build_fine_mesh(20, 20)
     coarse = build_coarse_mesh(fine, 4, 4)
     built = []
@@ -60,31 +61,31 @@ def test_detect_mode_counts_keeps_one_column_per_node(monkeypatch):
     monkeypatch.setattr(studies, "offline_spaces", recording)
     detect_mode_counts(coarse, lambda e: channels_and_inclusions(fine, e))
     assert len(built) == 2 * coarse.N_v
-    assert all(s.dim == 1 for s in built)
+    assert all(s.dim == studies.DETECT_PAIRS - 1 for s in built)
     assert all(len(s.eigenvalues) == min(studies.DETECT_PAIRS, s.region.n_nodes)
                for s in built)
 
 
 def test_detect_mode_counts_solves_a_filled_prefix_again_in_full(monkeypatch):
-    # with one leading eigenvalue every node with an inf mode fills the
-    # prefix; the whole-spectrum solve of those nodes must give the counts
-    # of the default prefix, none capped at 1
+    # with two leading eigenvalues a node with three unbounded modes fills
+    # the prefix; the whole-spectrum solve must give the counts of the
+    # default prefix, none capped at 2
     fine = build_fine_mesh(20, 20)
     coarse = build_coarse_mesh(fine, 4, 4)
     field_at = lambda e: channels_and_inclusions(fine, e)
     want = detect_mode_counts(coarse, field_at)
-    assert max(want.values()) > 1  # a count the short prefix would cap
+    assert max(want.values()) > 2  # a count the short prefix would cap
     whole = []
     original = studies.offline_spaces
 
     def recording(*args, **kwargs):
         spaces = original(*args, **kwargs)
-        if kwargs.get("nodes") is not None:
+        if kwargs.get("threshold") is not None:
             whole.extend(spaces)
         return spaces
 
     monkeypatch.setattr(studies, "offline_spaces", recording)
-    monkeypatch.setattr(studies, "DETECT_PAIRS", 1)
+    monkeypatch.setattr(studies, "DETECT_PAIRS", 2)
     assert detect_mode_counts(coarse, field_at) == want
     assert whole  # the fallback ran
 
