@@ -1,7 +1,7 @@
 """Generalized multiscale finite element solver for parametric
 high-contrast elliptic problems on structured grids."""
 
-from .mesh import (FineMesh, CoarseMesh, Neighborhood, OverlapDecomposition,
+from .mesh import (FineMesh, CoarseMesh, LocalRegion, OverlapDecomposition,
                    build_fine_mesh, build_coarse_mesh, build_overlap)
 from .coeff import (CoefficientField, AffineCoefficient, ParameterPoint,
                     evaluate, generate_inclusions_channels,
@@ -11,7 +11,7 @@ from .fem import (BoundaryCondition, assemble_stiffness, assemble_mass,
                   relative_errors, ErrorReport)
 from .pou import (PartitionOfUnity, bilinear_pou, multiscale_pou,
                   energy_min_pou)
-from .spaces import (LocalRegion, SnapshotSpace, ReducedSpace,
+from .spaces import (SnapshotSpace, ReducedSpace,
                      harmonic_snapshots, fine_grid_snapshots,
                      spectral_snapshots, build_offline, build_online,
                      offline_spaces, truncate, count_unbounded)

@@ -22,8 +22,8 @@ from .fem import BoundaryCondition, assemble_load, relative_errors
 from .mesh import build_coarse_mesh, build_fine_mesh
 from .pou import bilinear_pou, energy_min_pou, multiscale_pou
 from .solvers import NumericalError
-from .spaces import (A_FORMS, LocalRegion, build_online, local_forms,
-                     offline_spaces, parallel_map, snapshot_space)
+from .spaces import (A_FORMS, build_online, local_forms, offline_spaces,
+                     parallel_map, snapshot_space)
 from .studies import (PARAM_SAMPLES, eigendecay_sources, run_anisotropic_study,
                       run_convergence_study, run_eigendecay_study,
                       run_nonlinear_study, run_parametric_study,
@@ -245,8 +245,7 @@ def cmd_snapshots(cfg: dict, args) -> int:
     fine, coarse = _meshes(cfg)
     kappa = _field_from_config(cfg, fine)
     sizes = parallel_map(
-        lambda nb: snapshot_space(fine, LocalRegion.from_neighborhood(nb),
-                                  kind, kappa).M_snap,
+        lambda nb: snapshot_space(fine, nb, kind, kappa).M_snap,
         coarse.neighborhoods, args.workers)
     print(f"{kind} snapshots on {len(sizes)} neighborhoods: "
           f"min {min(sizes)}, max {max(sizes)} columns")

@@ -1,4 +1,4 @@
-"""P1 assembly on the structured fine grid.
+"""P1 assembly on the structured fine grid, globally or on a LocalRegion.
 
 Coefficients are cellwise constant and the basis is P1, so all element
 integrals below are exact; there is no quadrature parameter.
@@ -12,7 +12,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .coeff import CoefficientField
-from .mesh import FineMesh
+from .mesh import FineMesh, LocalRegion
+from .solvers import SparseFactor
 
 
 @dataclass
@@ -48,74 +49,65 @@ def _cells_to_triangles(cells: np.ndarray) -> np.ndarray:
     return t
 
 
-def _local_index_map(mesh: FineMesh, restrict_to) -> tuple:
-    nodes = np.asarray(restrict_to, dtype=np.int64)
-    lut = np.full(mesh.n_nodes, -1, dtype=np.int64)
-    lut[nodes] = np.arange(len(nodes))
-    return nodes, lut
+def _triangles(mesh: FineMesh, region) -> np.ndarray:
+    return (np.arange(2 * mesh.n_cells) if region is None
+            else _cells_to_triangles(region.cells))
 
 
-def _assemble(mesh, tris, local_mats, restrict_to):
-    """Scatter (T, 3, 3) element matrices into CSR, optionally node-restricted."""
+def _assemble(mesh, tris, local_mats, region):
+    """Scatter (T, 3, 3) element matrices into CSR; with a region, rows and
+    columns are its node box (FineMesh.box_position)."""
     conn = mesh.triangles[tris]
-    if restrict_to is None:
+    if region is None:
         n = mesh.n_nodes
-        rows = np.repeat(conn, 3, axis=1).ravel()
-        cols = np.tile(conn, (1, 3)).ravel()
-        data = local_mats.reshape(len(tris), 9).ravel()
     else:
-        nodes, lut = _local_index_map(mesh, restrict_to)
-        lconn = lut[conn]
-        keep = np.all(lconn >= 0, axis=1)  # triangles fully inside the node set
-        lconn = lconn[keep]
-        n = len(nodes)
-        rows = np.repeat(lconn, 3, axis=1).ravel()
-        cols = np.tile(lconn, (1, 3)).ravel()
-        data = local_mats[keep].reshape(-1, 9).ravel()
+        conn = mesh.box_position(region.cell_box, conn)
+        n = region.n_nodes
+    rows = np.repeat(conn, 3, axis=1).ravel()
+    cols = np.tile(conn, (1, 3)).ravel()
+    data = local_mats.reshape(len(tris), 9).ravel()
     A = sp.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
     A.sum_duplicates()
     return A
 
 
 def assemble_stiffness(mesh: FineMesh, kappa: CoefficientField,
-                       restrict_to=None, cells=None) -> sp.csr_matrix:
+                       region: LocalRegion = None) -> sp.csr_matrix:
     """kappa-weighted stiffness matrix, scalar or diagonal-tensor kappa.
 
-    restrict_to limits rows/cols to a node set (triangles not fully inside
-    are dropped); cells limits assembly to a fine-cell subset.
+    With a region, only its cells are assembled (the Neumann matrix of the
+    region), on its nodes.
     """
     if kappa.n_cells != mesh.n_cells:
         raise ValueError(f"field has {kappa.n_cells} cells, mesh has {mesh.n_cells}")
-    tris = _cells_to_triangles(np.asarray(cells, dtype=np.int64)) if cells is not None \
-        else np.arange(2 * mesh.n_cells)
+    tris = _triangles(mesh, region)
     b, c, area = _triangle_geometry(mesh, tris)
     k11 = kappa.k11()[tris // 2]
     k22 = kappa.k22()[tris // 2]
     inv4a = 1.0 / (4.0 * area)
     local = (k11[:, None, None] * b[:, :, None] * b[:, None, :]
              + k22[:, None, None] * c[:, :, None] * c[:, None, :]) * inv4a[:, None, None]
-    return _assemble(mesh, tris, local, restrict_to)
+    return _assemble(mesh, tris, local, region)
 
 
 _MASS_REF = (np.ones((3, 3)) + np.eye(3)) / 12.0
 
 
-def assemble_mass(mesh: FineMesh, weight=None,
-                  restrict_to=None, cells=None,
+def assemble_mass(mesh: FineMesh, weight=None, region: LocalRegion = None,
                   triangle_weight=None) -> sp.csr_matrix:
     """Weighted mass matrix; weight is a CoefficientField or per-cell array.
 
-    triangle_weight overrides with one value per selected triangle, in
-    _cells_to_triangles(cells) order (used for weights built from POU
-    gradients, which are constant per triangle, not per cell).
+    region works as in assemble_stiffness.  triangle_weight overrides with
+    one value per assembled triangle, in _cells_to_triangles(region.cells)
+    order (used for weights built from POU gradients, which are constant
+    per triangle, not per cell).
     """
-    tris = _cells_to_triangles(np.asarray(cells, dtype=np.int64)) if cells is not None \
-        else np.arange(2 * mesh.n_cells)
+    tris = _triangles(mesh, region)
     _, _, area = _triangle_geometry(mesh, tris)
     if triangle_weight is not None:
         w = np.asarray(triangle_weight, dtype=float)
         if len(w) != len(tris):
-            raise ValueError("triangle_weight needs one value per selected triangle")
+            raise ValueError("triangle_weight needs one value per assembled triangle")
     else:
         if weight is None:
             wc = np.ones(mesh.n_cells)
@@ -129,7 +121,28 @@ def assemble_mass(mesh: FineMesh, weight=None,
             raise ValueError(f"weight has {len(wc)} cells, mesh has {mesh.n_cells}")
         w = wc[tris // 2]
     local = (w * area)[:, None, None] * _MASS_REF[None, :, :]
-    return _assemble(mesh, tris, local, restrict_to)
+    return _assemble(mesh, tris, local, region)
+
+
+def harmonic_extension(mesh: FineMesh, kappa: CoefficientField,
+                       region: LocalRegion, traces: np.ndarray) -> np.ndarray:
+    """kappa-harmonic extensions into the region of boundary traces.
+
+    traces holds one column per trace, one row per region.boundary_nodes
+    entry; the result holds the extensions at region.nodes.  The region's
+    Neumann stiffness is assembled and its interior block factored once.
+    """
+    A = assemble_stiffness(mesh, kappa, region=region)
+    lb = region.local_index(mesh, region.boundary_nodes)
+    interior = np.ones(region.n_nodes, dtype=bool)
+    interior[lb] = False
+    li = np.flatnonzero(interior)
+    out = np.zeros((region.n_nodes, traces.shape[1]))
+    out[lb] = traces
+    if len(li):
+        A_i = A[li]
+        out[li] = SparseFactor(A_i[:, li]).solve(-(A_i[:, lb] @ traces))
+    return out
 
 
 def assemble_load(mesh: FineMesh, f) -> np.ndarray:

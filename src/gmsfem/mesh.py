@@ -112,18 +112,45 @@ def build_fine_mesh(nx: int, ny: int) -> FineMesh:
 
 
 @dataclass
-class Neighborhood:
-    """The patch of coarse cells sharing one coarse node, as fine index sets."""
+class LocalRegion:
+    """A box of fine cells with its node sets, the unit of local assembly.
 
-    coarse_node: int
+    Every coarse neighborhood omega_i is one (label i); from_cell_box is the
+    only constructor.
+    """
+
     cell_box: tuple      # (cx0, cx1, cy0, cy1) fine-cell half-open box
     cells: np.ndarray
-    nodes: np.ndarray
+    nodes: np.ndarray    # the closed node box, ascending
     boundary_nodes: np.ndarray  # nodes on the box boundary
+    label: int = -1
+
+    @classmethod
+    def from_cell_box(cls, mesh: FineMesh, box: tuple, label: int = -1):
+        cx0, cx1, cy0, cy1 = box
+        if not (0 <= cx0 < cx1 <= mesh.nx and 0 <= cy0 < cy1 <= mesh.ny):
+            raise ValueError(f"cell box {box} is empty or leaves the "
+                             f"{mesh.nx}x{mesh.ny} grid")
+        nodes = mesh.nodes_in_cell_box(*box)
+        i, j = nodes % (mesh.nx + 1), nodes // (mesh.nx + 1)
+        on = (i == cx0) | (i == cx1) | (j == cy0) | (j == cy1)
+        return cls(cell_box=box, cells=mesh.cells_in_box(*box), nodes=nodes,
+                   boundary_nodes=nodes[on], label=label)
+
+    @classmethod
+    def from_neighborhood(cls, nb):
+        """nb itself: a neighborhood already is a region."""
+        return nb
 
     @property
     def n_nodes(self) -> int:
         return len(self.nodes)
+
+    def local_index(self, mesh: FineMesh, nodes: np.ndarray) -> np.ndarray:
+        out = mesh.box_position(self.cell_box, np.asarray(nodes))
+        if np.any(out < 0):
+            raise ValueError("nodes outside the region")
+        return out
 
 
 @dataclass
@@ -177,16 +204,6 @@ def _neighborhood_box(cm: CoarseMesh, I: int, J: int) -> tuple:
     return cx0, cx1, cy0, cy1
 
 
-def _box_boundary_nodes(fine: FineMesh, box: tuple) -> np.ndarray:
-    cx0, cx1, cy0, cy1 = box
-    nodes = fine.nodes_in_cell_box(*box)
-    nx = fine.nx
-    ii = nodes % (nx + 1)
-    jj = nodes // (nx + 1)
-    on = (ii == cx0) | (ii == cx1) | (jj == cy0) | (jj == cy1)
-    return nodes[on]
-
-
 def build_coarse_mesh(fine: FineMesh, Nx: int, Ny: int) -> CoarseMesh:
     """Partition the fine grid into Nx*Ny blocks and build node neighborhoods."""
     if Nx < 1 or Ny < 1:
@@ -209,13 +226,7 @@ def build_coarse_mesh(fine: FineMesh, Nx: int, Ny: int) -> CoarseMesh:
     for i in range(cm.N_v):
         I, J = cm.coarse_node_ij(i)
         box = _neighborhood_box(cm, I, J)
-        nbhs.append(Neighborhood(
-            coarse_node=i,
-            cell_box=box,
-            cells=fine.cells_in_box(*box),
-            nodes=fine.nodes_in_cell_box(*box),
-            boundary_nodes=_box_boundary_nodes(fine, box),
-        ))
+        nbhs.append(LocalRegion.from_cell_box(fine, box, label=i))
     cm.neighborhoods = nbhs
     interior = [cm.coarse_node_id(I, J)
                 for J in range(1, Ny) for I in range(1, Nx)]

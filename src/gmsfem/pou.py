@@ -9,9 +9,9 @@ import numpy as np
 
 from .coeff import CoefficientField
 from .fem import (_cells_to_triangles, _triangle_geometry, assemble_mass,
-                  assemble_stiffness)
-from .mesh import CoarseMesh
-from .solvers import NumericalError, SparseFactor, block_factor, pcg
+                  assemble_stiffness, harmonic_extension)
+from .mesh import CoarseMesh, LocalRegion
+from .solvers import NumericalError, block_factor, pcg
 
 # relative residual at which CG stops on the energy-minimizing multiplier
 MULTIPLIER_TOL = 1e-10
@@ -76,25 +76,15 @@ def multiscale_pou(coarse: CoarseMesh, kappa: CoefficientField) -> PartitionOfUn
     hats = bilinear_pou(coarse)
     local = [np.zeros(nb.n_nodes) for nb in coarse.neighborhoods]
     for K in range(coarse.n_blocks):
-        box = coarse.block_node_box(K)
-        nodes = fine.nodes_in_cell_box(*box)
-        interior = fine.interior_nodes_of_cell_box(*box)
-        bnd = np.setdiff1d(nodes, interior, assume_unique=True)
-        cells = fine.cells_in_box(*box)
-        A = assemble_stiffness(fine, kappa, restrict_to=nodes, cells=cells)
-        li = fine.box_position(box, interior)
-        lb = fine.box_position(box, bnd)
-        lu = SparseFactor(A[li][:, li])
+        block = LocalRegion.from_cell_box(fine, coarse.block_node_box(K))
         bi, bj = K % coarse.Nx, K // coarse.Nx
         corners = [coarse.coarse_node_id(bi + di, bj + dj)
                    for dj in (0, 1) for di in (0, 1)]
-        Ab = A[li][:, lb]
-        for c in corners:
-            nb_box = coarse.neighborhoods[c].cell_box
-            g = hats.at(c, bnd)
-            local[c][fine.box_position(nb_box, bnd)] = g
-            if len(li):
-                local[c][fine.box_position(nb_box, interior)] = lu.solve(-(Ab @ g))
+        traces = np.column_stack([hats.at(c, block.boundary_nodes) for c in corners])
+        ext = harmonic_extension(fine, kappa, block, traces)
+        for c, chi in zip(corners, ext.T):
+            local[c][fine.box_position(coarse.neighborhoods[c].cell_box,
+                                       block.nodes)] = chi
     return _normalized("multiscale", coarse, local)
 
 

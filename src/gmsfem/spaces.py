@@ -20,45 +20,13 @@ import scipy.linalg as la
 import scipy.sparse as sp
 
 from .coeff import CoefficientField
-from .fem import _cells_to_triangles, assemble_mass, assemble_stiffness
-from .mesh import CoarseMesh, FineMesh, Neighborhood, _box_boundary_nodes
+from .fem import (_cells_to_triangles, assemble_mass, assemble_stiffness,
+                  harmonic_extension)
+from .mesh import CoarseMesh, FineMesh, LocalRegion
 from .pou import pou_gradient_weight
-from .solvers import (NumericalError, SparseFactor, full_gen_eig,
-                      leading_gen_eig)
+from .solvers import NumericalError, full_gen_eig, leading_gen_eig
 
 A_FORMS = ("pou_stiffness", "pou_grad_mass", "kappa_mass")
-
-
-@dataclass
-class LocalRegion:
-    """A rectangle of fine cells with its node set, used for local assembly."""
-
-    nodes: np.ndarray
-    cells: np.ndarray
-    cell_box: tuple
-    boundary_nodes: np.ndarray
-    label: int = -1
-
-    @classmethod
-    def from_neighborhood(cls, nb: Neighborhood):
-        return cls(nodes=nb.nodes, cells=nb.cells, cell_box=nb.cell_box,
-                   boundary_nodes=nb.boundary_nodes, label=nb.coarse_node)
-
-    @classmethod
-    def from_cell_box(cls, mesh: FineMesh, box: tuple, label: int = -1):
-        return cls(nodes=mesh.nodes_in_cell_box(*box),
-                   cells=mesh.cells_in_box(*box), cell_box=box,
-                   boundary_nodes=_box_boundary_nodes(mesh, box), label=label)
-
-    @property
-    def n_nodes(self) -> int:
-        return len(self.nodes)
-
-    def local_index(self, mesh: FineMesh, nodes: np.ndarray) -> np.ndarray:
-        out = mesh.box_position(self.cell_box, np.asarray(nodes))
-        if np.any(out < 0):
-            raise ValueError("nodes outside the region")
-        return out
 
 
 @dataclass
@@ -92,27 +60,15 @@ class ReducedSpace:
 
 def harmonic_snapshots(mesh: FineMesh, region: LocalRegion,
                        kappa_samples: list) -> SnapshotSpace:
-    """Local harmonic solves with unit nodal data on every boundary node.
+    """Local harmonic solves (fem.harmonic_extension) with unit nodal data
+    on every boundary node.
 
     One column per (boundary node, coefficient sample) pair.
     """
     if len(kappa_samples) < 1:
         raise ValueError("need at least one coefficient sample")
-    bnd_local = region.local_index(mesh, region.boundary_nodes)
-    interior_mask = np.ones(region.n_nodes, dtype=bool)
-    interior_mask[bnd_local] = False
-    int_local = np.flatnonzero(interior_mask)
-    cols = []
-    for kappa in kappa_samples:
-        A = assemble_stiffness(mesh, kappa, restrict_to=region.nodes,
-                               cells=region.cells)
-        block = np.zeros((region.n_nodes, len(bnd_local)))
-        block[bnd_local, np.arange(len(bnd_local))] = 1.0
-        if len(int_local):
-            lu = SparseFactor(A[int_local][:, int_local])
-            rhs = -np.asarray(A[int_local][:, bnd_local].todense())
-            block[int_local] = lu.solve(rhs)
-        cols.append(block)
+    unit = np.eye(len(region.boundary_nodes))
+    cols = [harmonic_extension(mesh, kappa, region, unit) for kappa in kappa_samples]
     return SnapshotSpace(region=region, columns=np.hstack(cols), kind="harmonic")
 
 
@@ -150,15 +106,13 @@ def assemble_a_form(mesh: FineMesh, region: LocalRegion, kappa: CoefficientField
     """Local a-form matrix on the region's nodes; weight, if given, is
     pou_gradient_weight on every fine cell, gathered for pou_grad_mass."""
     if a_form == "kappa_mass":
-        return assemble_mass(mesh, weight=kappa.k11(), restrict_to=region.nodes,
-                             cells=region.cells)
+        return assemble_mass(mesh, weight=kappa.k11(), region=region)
     if pou is None:
         raise ValueError(f"a_form {a_form!r} needs a partition of unity")
     if a_form == "pou_grad_mass":
         w = (pou_gradient_weight(pou, kappa, region.cells) if weight is None
              else weight[_cells_to_triangles(region.cells)])
-        return assemble_mass(mesh, restrict_to=region.nodes, cells=region.cells,
-                             triangle_weight=w)
+        return assemble_mass(mesh, region=region, triangle_weight=w)
     if a_form == "pou_stiffness":
         return _pou_stiffness_form(mesh, region, kappa, pou)
     raise ValueError(f"unknown a_form {a_form!r}")
@@ -172,16 +126,14 @@ def _pou_stiffness_form(mesh, region, kappa, pou) -> sp.csr_matrix:
     Only the chi_k whose neighborhood meets the region can be nonzero on it.
     """
     cx0, cx1, cy0, cy1 = region.cell_box
-    pad = (max(cx0 - 1, 0), min(cx1 + 1, mesh.nx),
-           max(cy0 - 1, 0), min(cy1 + 1, mesh.ny))
-    pad_nodes = mesh.nodes_in_cell_box(*pad)
-    pad_cells = mesh.cells_in_box(*pad)
-    A_pad = assemble_stiffness(mesh, kappa, restrict_to=pad_nodes, cells=pad_cells)
-    r_in_pad = mesh.box_position(pad, region.nodes)
-    total = sp.csr_matrix((len(pad_nodes), len(pad_nodes)))
+    pad = LocalRegion.from_cell_box(mesh, (max(cx0 - 1, 0), min(cx1 + 1, mesh.nx),
+                                           max(cy0 - 1, 0), min(cy1 + 1, mesh.ny)))
+    A_pad = assemble_stiffness(mesh, kappa, region=pad)
+    r_in_pad = pad.local_index(mesh, region.nodes)
+    total = sp.csr_matrix((pad.n_nodes, pad.n_nodes))
     for k in pou.coarse.nodes_meeting(region.cell_box):
         # zero outside the region: psi is only defined there
-        d = np.zeros(len(pad_nodes))
+        d = np.zeros(pad.n_nodes)
         d[r_in_pad] = pou.at(k, region.nodes)
         if not np.any(d):
             continue
@@ -192,8 +144,7 @@ def _pou_stiffness_form(mesh, region, kappa, pou) -> sp.csr_matrix:
 
 def assemble_s_form(mesh: FineMesh, region: LocalRegion,
                     kappa: CoefficientField) -> sp.csr_matrix:
-    return assemble_stiffness(mesh, kappa, restrict_to=region.nodes,
-                              cells=region.cells)
+    return assemble_stiffness(mesh, kappa, region=region)
 
 
 def _orthonormal_transform(G: np.ndarray, drop_tol: float):
@@ -353,8 +304,7 @@ def offline_spaces(coarse: CoarseMesh, kappa: CoefficientField,
     mesh = coarse.fine
     forms = local_forms(mesh, kappa, a_form, pou)
 
-    def one(nb):
-        region = LocalRegion.from_neighborhood(nb)
+    def one(region):
         snap = snapshot_space(mesh, region, snapshots, kappa, samples,
                               snap_per_sample)
         a_mat, s_mat = forms(region)

@@ -23,15 +23,14 @@ from .fem import (BoundaryCondition, assemble_load, assemble_mass,
                   assemble_stiffness, reduce_dirichlet, relative_errors)
 from .fields import (affine_four_term, anisotropic_pair, centered_inclusion,
                      channels_and_inclusions, channels_and_inclusions_alt)
-from .mesh import build_coarse_mesh, build_fine_mesh, build_overlap
+from .mesh import LocalRegion, build_coarse_mesh, build_fine_mesh, build_overlap
 from .nonlinear import (NonlinearCoefficient, build_nonlinear_offline,
                         picard_solve)
 from .pou import bilinear_pou, multiscale_pou
 from .solvers import SparseFactor, build_two_level, pcg
-from .spaces import (LocalRegion, ReducedSpace, SnapshotSpace, build_offline,
-                     build_online, count_unbounded, assemble_a_form,
-                     assemble_s_form, local_forms, offline_spaces,
-                     parallel_map, truncate)
+from .spaces import (ReducedSpace, SnapshotSpace, build_offline, build_online,
+                     count_unbounded, assemble_a_form, assemble_s_form,
+                     local_forms, offline_spaces, parallel_map, truncate)
 
 BC_LINEAR = BoundaryCondition(lambda x, y: x + y)
 SOURCE = 1.0
@@ -69,9 +68,8 @@ def _fmt(x) -> str:
 def _pou_only_spaces(coarse) -> dict:
     """One constant mode per node: the coarse space spanned by the POU."""
     spaces = {}
-    for i in range(coarse.N_v):
-        region = LocalRegion.from_neighborhood(coarse.neighborhoods[int(i)])
-        spaces[int(i)] = ReducedSpace(
+    for i, region in enumerate(coarse.neighborhoods):
+        spaces[i] = ReducedSpace(
             region=region, columns=np.ones((region.n_nodes, 1)),
             eigenvalues=np.array([np.inf]), stage="offline",
             selection={"kept": 1})
@@ -256,8 +254,7 @@ def run_parametric_study(fine_n: int = 100, coarse_n: int = 10,
     b = assemble_load(fine, SOURCE)
     # the online forms at k_star depend on neither n_rb nor the step
     star_forms = local_forms(fine, k_star, "kappa_mass")
-    star = [star_forms(LocalRegion.from_neighborhood(nb))
-            for nb in coarse.neighborhoods]
+    star = [star_forms(nb) for nb in coarse.neighborhoods]
     rows = []
     for n_rb in n_rb_values:
         fields = k_samples[:n_rb]

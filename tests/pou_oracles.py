@@ -1,7 +1,9 @@
 """Dense oracles for the neighborhood-local partition of unity: chi_i as a
 vector over all fine nodes, chi as an (N_v, n_fine) array, the total
-energy, the O(N_v * triangles) loops the local code replaced, and the
-energy-minimizing POU with one factor and one solve per neighborhood."""
+energy, the O(N_v * triangles) loops the local code replaced, the
+energy-minimizing POU with one factor and one solve per neighborhood, and
+the multiscale POU with hand-built block index sets and one solve per
+corner."""
 
 import numpy as np
 
@@ -72,6 +74,33 @@ def looped_energy_min_pou(coarse, kappa):
         v[fine.box_position(nb.cell_box, fn)] = f.solve(p[fn])
         local.append(v)
     return _normalized("energy-minimizing", coarse, local)
+
+
+def looped_multiscale_pou(coarse, kappa):
+    """multiscale_pou with each coarse block's node, interior and boundary
+    sets built by hand, the interior rows read from the global stiffness,
+    and one solve per corner trace."""
+    fine = coarse.fine
+    hats = bilinear_pou(coarse)
+    A = assemble_stiffness(fine, kappa)
+    local = [np.zeros(nb.n_nodes) for nb in coarse.neighborhoods]
+    for K in range(coarse.n_blocks):
+        box = coarse.block_node_box(K)
+        nodes = fine.nodes_in_cell_box(*box)
+        interior = fine.interior_nodes_of_cell_box(*box)
+        bnd = np.setdiff1d(nodes, interior, assume_unique=True)
+        A_i = A[interior]
+        lu = SparseFactor(A_i[:, interior]) if len(interior) else None
+        bi, bj = K % coarse.Nx, K // coarse.Nx
+        for c in [coarse.coarse_node_id(bi + di, bj + dj)
+                  for dj in (0, 1) for di in (0, 1)]:
+            nb_box = coarse.neighborhoods[c].cell_box
+            g = hats.at(c, bnd)
+            local[c][fine.box_position(nb_box, bnd)] = g
+            if lu is not None:
+                local[c][fine.box_position(nb_box, interior)] = lu.solve(
+                    -(A_i[:, bnd] @ g))
+    return _normalized("multiscale", coarse, local)
 
 
 def dense_gradient_weight(pou, kappa, cells) -> np.ndarray:

@@ -54,7 +54,7 @@ def test_criterion_01_partition_of_unity_suite():
         for nb in coarse.neighborhoods:
             mask[:] = True
             mask[nb.nodes] = False
-            leak = max(leak, float(np.abs(chi_dense(p, nb.coarse_node)[mask]).max()))
+            leak = max(leak, float(np.abs(chi_dense(p, nb.label)[mask]).max()))
     e = {k: pou_energy(p, kappa) for k, p in pous.items()}
     elapsed = time.time() - t0
     ok = (defect <= 1e-12 and leak == 0.0

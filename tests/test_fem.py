@@ -12,7 +12,8 @@ from gmsfem.fem import (BoundaryCondition, apply_dirichlet, assemble_load,
                         assemble_mass, assemble_stiffness, free_nodes, norms,
                         reduce_dirichlet, relative_errors)
 from gmsfem.coupling import solve_fine
-from gmsfem.mesh import build_fine_mesh
+from gmsfem.fields import channels_and_inclusions
+from gmsfem.mesh import build_coarse_mesh, build_fine_mesh
 
 
 def _linear(mesh, fx, fy, c=0.0):
@@ -84,6 +85,30 @@ def test_mass_triangle_weight():
     ones = np.ones(mesh.n_nodes)
     tri_area = 0.5 / 9.0
     assert ones @ (M @ ones) == pytest.approx(tw.sum() * tri_area, rel=1e-13)
+
+
+@pytest.mark.parametrize("node", [(0, 2), (2, 2)], ids=["edge", "interior"])
+def test_region_assembly_is_the_global_matrix_at_interior_rows(node):
+    # a node off the box boundary has every triangle inside the box, so its
+    # row of the region's Neumann matrix is its global row, bit for bit
+    fine = build_fine_mesh(20, 20)
+    coarse = build_coarse_mesh(fine, 4, 4)
+    kappa = channels_and_inclusions(fine, 1e4)
+    region = coarse.neighborhoods[coarse.coarse_node_id(*node)]
+    inner = np.ones(region.n_nodes, dtype=bool)
+    inner[region.local_index(fine, region.boundary_nodes)] = False
+    rows = region.nodes[inner]
+    for local, whole in [
+            (assemble_stiffness(fine, kappa, region=region),
+             assemble_stiffness(fine, kappa)),
+            (assemble_mass(fine, weight=kappa, region=region),
+             assemble_mass(fine, weight=kappa))]:
+        assert local.shape == (region.n_nodes, region.n_nodes)
+        assert whole[rows].nnz == whole[rows][:, region.nodes].nnz
+        assert np.array_equal(local[inner].toarray(),
+                              whole[rows][:, region.nodes].toarray())
+    A = assemble_stiffness(fine, kappa, region=region)
+    assert np.abs(A @ np.ones(region.n_nodes)).max() <= 1e-12 * np.abs(A).max()
 
 
 def test_load_vector():

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from gmsfem.mesh import (build_coarse_mesh, build_fine_mesh, build_overlap,
-                         _box_boundary_nodes)
+from gmsfem.mesh import (LocalRegion, build_coarse_mesh, build_fine_mesh,
+                         build_overlap)
 
 
 def test_fine_mesh_counts_and_coords():
@@ -102,11 +102,30 @@ def test_neighborhood_boxes_clip_at_domain():
 
 def test_box_boundary_nodes():
     fine = build_fine_mesh(8, 8)
-    bnd = _box_boundary_nodes(fine, (2, 5, 2, 5))
+    bnd = LocalRegion.from_cell_box(fine, (2, 5, 2, 5)).boundary_nodes
     assert len(bnd) == 12
     ii, jj = bnd % 9, bnd // 9
     on = (ii == 2) | (ii == 5) | (jj == 2) | (jj == 5)
     assert on.all()
+
+
+def test_region_rejects_empty_and_outside_boxes():
+    fine = build_fine_mesh(10, 10)
+    # (8, 12) would wrap cells 10 and 11 into the next row; (3, 3) has no cell
+    for box in [(8, 12, 0, 2), (3, 3, 0, 2), (0, 2, 5, 4), (-1, 2, 0, 2)]:
+        with pytest.raises(ValueError, match="empty or leaves the 10x10 grid"):
+            LocalRegion.from_cell_box(fine, box)
+    region = LocalRegion.from_cell_box(fine, (8, 10, 0, 2), label=7)
+    assert region.label == 7
+    assert np.array_equal(region.cells, [8, 9, 18, 19])
+
+
+def test_neighborhoods_are_regions_labelled_by_coarse_node():
+    fine = build_fine_mesh(12, 12)
+    cm = build_coarse_mesh(fine, 4, 4)
+    for i, nb in enumerate(cm.neighborhoods):
+        assert isinstance(nb, LocalRegion) and nb.label == i
+        assert LocalRegion.from_neighborhood(nb) is nb
 
 
 def test_overlap_decomposition():

@@ -11,7 +11,7 @@ from gmsfem.fem import BoundaryCondition, assemble_load, assemble_mass, \
     assemble_stiffness, relative_errors
 from gmsfem.coupling import build_coarse_basis, solve_coarse_galerkin, solve_fine
 from gmsfem.fields import channels_and_inclusions, channels_and_inclusions_alt
-from gmsfem.mesh import build_coarse_mesh, build_fine_mesh
+from gmsfem.mesh import LocalRegion, build_coarse_mesh, build_fine_mesh
 from gmsfem.nonlinear import (NonlinearCoefficient, block_averages,
                               build_nonlinear_offline, cellwise_parameter,
                               node_averages, picard_solve)
@@ -66,15 +66,14 @@ def test_averages_match_the_mass_matrix_formula(setup):
     fine, coarse, _ = setup
     x, y = fine.node_coords.T
     u = np.sin(3.0 * x) * np.exp(y) + x * y ** 2
-    ones = np.ones(fine.n_nodes)
 
-    def mass_average(cells):
-        m = assemble_mass(fine, cells=cells) @ ones
-        return float(u @ m) / float(ones @ m)
+    def mass_average(region):
+        m = assemble_mass(fine, region=region) @ np.ones(region.n_nodes)
+        return float(u[region.nodes] @ m) / float(m.sum())
 
-    blocks = [mass_average(fine.cells_in_box(*coarse.block_node_box(K)))
+    blocks = [mass_average(LocalRegion.from_cell_box(fine, coarse.block_node_box(K)))
               for K in range(coarse.n_blocks)]
-    nodes = [mass_average(nb.cells) for nb in coarse.neighborhoods]
+    nodes = [mass_average(nb) for nb in coarse.neighborhoods]
     assert np.allclose(block_averages(coarse, u), blocks, rtol=1e-13, atol=0)
     assert np.allclose(node_averages(coarse, u), nodes, rtol=1e-13, atol=0)
 

@@ -17,7 +17,7 @@ from gmsfem.solvers import NumericalError
 from gmsfem.spaces import LocalRegion
 from pou_oracles import (ORACLE_SIZES, chi_dense, dense_chi,
                          dense_gradient_weight, looped_energy_min_pou,
-                         pou_energy, pou_problem)
+                         looped_multiscale_pou, pou_energy, pou_problem)
 
 
 @pytest.fixture(scope="module")
@@ -48,8 +48,8 @@ def test_support_contained_in_neighborhood(setup):
     for name, pou in _all_pous(coarse, kappa).items():
         for nb in coarse.neighborhoods:
             outside = np.setdiff1d(np.arange(fine.n_nodes), nb.nodes)
-            leak = np.abs(chi_dense(pou, nb.coarse_node)[outside]).max()
-            assert leak == 0.0, (name, nb.coarse_node)
+            leak = np.abs(chi_dense(pou, nb.label)[outside]).max()
+            assert leak == 0.0, (name, nb.label)
 
 
 def test_bilinear_is_nodal(setup):
@@ -142,6 +142,13 @@ def test_energy_min_matches_the_per_neighborhood_loop(sized):
     _, coarse, kappa, pous = sized
     looped = looped_energy_min_pou(coarse, kappa)
     for mine, theirs in zip(pous["energy-minimizing"].local, looped.local):
+        assert np.array_equal(mine, theirs)
+
+
+def test_multiscale_matches_the_per_block_loop(sized):
+    _, coarse, kappa, pous = sized
+    looped = looped_multiscale_pou(coarse, kappa)
+    for mine, theirs in zip(pous["multiscale"].local, looped.local):
         assert np.array_equal(mine, theirs)
 
 

@@ -132,8 +132,8 @@ def test_leading_gen_eig_is_deterministic():
     coarse = build_coarse_mesh(fine, 4, 4)
     nb = coarse.neighborhoods[coarse.coarse_node_id(2, 2)]
     kappa = channels_and_inclusions(fine, 1e5)
-    A = assemble_mass(fine, weight=kappa, restrict_to=nb.nodes, cells=nb.cells)
-    S = assemble_stiffness(fine, kappa, restrict_to=nb.nodes, cells=nb.cells)
+    A = assemble_mass(fine, weight=kappa, region=nb)
+    S = assemble_stiffness(fine, kappa, region=nb)
     lam, vecs = leading_gen_eig(A, S, 8)
     assert vecs.shape == (441, 8)
     assert np.all(np.diff(lam) <= 0)

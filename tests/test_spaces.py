@@ -50,8 +50,7 @@ def test_harmonic_snapshots_are_harmonic_and_partition(setup):
     fine, _, kappa, _, region = setup
     snap = harmonic_snapshots(fine, region, [kappa])
     assert snap.M_snap == len(region.boundary_nodes)
-    A = assemble_stiffness(fine, kappa, restrict_to=region.nodes,
-                           cells=region.cells)
+    A = assemble_stiffness(fine, kappa, region=region)
     bnd = region.local_index(fine, region.boundary_nodes)
     interior = np.setdiff1d(np.arange(region.n_nodes), bnd)
     # each column is kappa-harmonic inside the region
@@ -74,10 +73,8 @@ def test_fine_grid_snapshots_identity(setup):
 
 
 def _neumann_pencil(fine, region, kappa):
-    return (assemble_mass(fine, weight=kappa, restrict_to=region.nodes,
-                          cells=region.cells),
-            assemble_stiffness(fine, kappa, restrict_to=region.nodes,
-                               cells=region.cells))
+    return (assemble_mass(fine, weight=kappa, region=region),
+            assemble_stiffness(fine, kappa, region=region))
 
 
 def _assert_matches_dense_oracle(A_t, S_t, cols):
@@ -198,11 +195,10 @@ def dense_pou_stiffness_form(mesh, region, kappa, pou):
     """sum over every k of D_k A D_k on the padded box, D_k = diag(chi_k)
     zeroed outside the region, with chi_k dense."""
     cx0, cx1, cy0, cy1 = region.cell_box
-    pad = (max(cx0 - 1, 0), min(cx1 + 1, mesh.nx),
-           max(cy0 - 1, 0), min(cy1 + 1, mesh.ny))
-    pad_nodes = mesh.nodes_in_cell_box(*pad)
-    A_pad = assemble_stiffness(mesh, kappa, restrict_to=pad_nodes,
-                               cells=mesh.cells_in_box(*pad))
+    pad = LocalRegion.from_cell_box(mesh, (max(cx0 - 1, 0), min(cx1 + 1, mesh.nx),
+                                           max(cy0 - 1, 0), min(cy1 + 1, mesh.ny)))
+    pad_nodes = pad.nodes
+    A_pad = assemble_stiffness(mesh, kappa, region=pad)
     in_region = np.isin(pad_nodes, region.nodes)
     total = sp.csr_matrix((len(pad_nodes), len(pad_nodes)))
     for chi in dense_chi(pou):
@@ -221,8 +217,7 @@ def test_pou_a_forms_match_dense_oracle(sized):
     for name, pou in pous.items():
         for region in regions:
             w = dense_gradient_weight(pou, kappa, region.cells)
-            want = assemble_mass(fine, restrict_to=region.nodes,
-                                 cells=region.cells, triangle_weight=w)
+            want = assemble_mass(fine, region=region, triangle_weight=w)
             got = assemble_a_form(fine, region, kappa, "pou_grad_mass", pou)
             assert np.array_equal(got.toarray(), want.toarray()), name
             got = assemble_a_form(fine, region, kappa, "pou_stiffness", pou)
@@ -472,17 +467,13 @@ def test_offline_spaces_spectral_union_matches_the_hand_written_loop(
     for i, nb in enumerate(coarse.neighborhoods):
         region = LocalRegion.from_neighborhood(nb)
         cols = [spectral_snapshots(
-                    assemble_mass(fine, weight=f, restrict_to=region.nodes,
-                                  cells=region.cells),
-                    assemble_stiffness(fine, f, restrict_to=region.nodes,
-                                       cells=region.cells), 3, region).columns
+                    assemble_mass(fine, weight=f, region=region),
+                    assemble_stiffness(fine, f, region=region), 3, region).columns
                 for f in samples]
         snap = SnapshotSpace(region=region, columns=np.hstack(cols),
                              kind="local-spectral")
-        a_mat = assemble_mass(fine, weight=avg, restrict_to=region.nodes,
-                              cells=region.cells)
-        s_mat = assemble_stiffness(fine, avg, restrict_to=region.nodes,
-                                   cells=region.cells)
+        a_mat = assemble_mass(fine, weight=avg, region=region)
+        s_mat = assemble_stiffness(fine, avg, region=region)
         want = build_offline(snap, a_mat, s_mat, count=4)
         assert np.array_equal(got[i].columns, want.columns)
         assert np.array_equal(got[i].eigenvalues, want.eigenvalues)
