@@ -7,8 +7,8 @@ from .coeff import (CoefficientField, AffineCoefficient, ParameterPoint,
                     evaluate, generate_inclusions_channels,
                     anisotropic_from_scalar, read_field, write_field)
 from .fem import (BoundaryCondition, assemble_stiffness, assemble_mass,
-                  assemble_load, apply_dirichlet, reduce_dirichlet,
-                  relative_errors, ErrorReport)
+                  assemble_load, reduce_dirichlet, relative_errors,
+                  ErrorReport)
 from .pou import (PartitionOfUnity, bilinear_pou, multiscale_pou,
                   energy_min_pou)
 from .spaces import (SnapshotSpace, ReducedSpace,

@@ -105,11 +105,7 @@ def generate_inclusions_channels(fine: FineMesh, spec: list, eta: float) -> Coef
         raise ValueError(f"contrast must be >= 1, got {eta}")
     vals = np.ones(fine.n_cells)
     for box in spec:
-        cx0, cx1, cy0, cy1 = box
-        if not (0 <= cx0 < cx1 <= fine.nx and 0 <= cy0 < cy1 <= fine.ny):
-            raise ValueError(f"geometry box {box} is empty or outside the "
-                             f"{fine.nx}x{fine.ny} fine grid")
-        vals[fine.cells_in_box(cx0, cx1, cy0, cy1)] = eta
+        vals[fine.cells_in_box(*box)] = eta
     return CoefficientField(vals)
 
 

@@ -17,7 +17,7 @@ from .coeff import AffineCoefficient, CoefficientField, ParameterPoint
 from .fem import (BoundaryCondition, assemble_load, assemble_mass,
                   assemble_stiffness, free_nodes, reduce_dirichlet)
 from .mesh import CoarseMesh, FineMesh
-from .solvers import NumericalError, SparseFactor
+from .solvers import NumericalError, SparseFactor, galerkin_factor
 
 # relative pivot size below which the compressed solve drops a basis column
 RANK_TOL = 1e-12
@@ -114,19 +114,16 @@ def solve_coarse_galerkin(mesh: FineMesh, A: sp.csr_matrix, b: np.ndarray,
     lift included.
     """
     fr = free_nodes(mesh)
-    lift = coarse_dirichlet_lift(basis, bc)
+    u = coarse_dirichlet_lift(basis, bc)
     A_ff = A[fr][:, fr].tocsr()
-    b_f = (b - A @ lift)[fr]
+    b_f = (b - A @ u)[fr]
     P_ff = basis.P[fr]
-    u = lift.copy()
     if basis.dim <= len(fr):
-        Ac = np.asarray((P_ff.T @ (A_ff @ P_ff)).todense())
-        Ac = 0.5 * (Ac + Ac.T)
-        rhs = P_ff.T @ b_f
         try:
-            u[fr] += P_ff @ la.cho_solve(la.cho_factor(Ac), rhs)
+            coarse = galerkin_factor(P_ff.T @ (A_ff @ P_ff))
+            u[fr] += P_ff @ coarse.solve(P_ff.T @ b_f)
             return u
-        except la.LinAlgError:
+        except NumericalError:
             warnings.warn("coarse basis is rank deficient; compressing it "
                           "by pivoted QR", RuntimeWarning)
     # overlapping local spaces can make the global basis dependent; the
@@ -153,9 +150,9 @@ def _solve_compressed(P: np.ndarray, A_ff, b_f: np.ndarray) -> np.ndarray:
 class AffineOperator:
     """Precomputed coarse blocks P' A_q P for fast mu sweeps."""
 
-    blocks: list        # dense (dim, dim) per affine term
+    blocks: list        # sparse CSR (dim, dim) per affine term
 
-    def coarse_matrix(self, mu: ParameterPoint) -> np.ndarray:
+    def coarse_matrix(self, mu: ParameterPoint) -> sp.csr_matrix:
         return sum(m * B for m, B in zip(mu.mu, self.blocks))
 
 
@@ -166,7 +163,7 @@ def build_affine_operator(mesh: FineMesh, aff: AffineCoefficient,
     blocks = []
     for f in aff.fields:
         A_ff = assemble_stiffness(mesh, f)[fr][:, fr].tocsr()
-        blocks.append(np.asarray((P_ff.T @ (A_ff @ P_ff)).todense()))
+        blocks.append((P_ff.T @ (A_ff @ P_ff)).tocsr())
     return AffineOperator(blocks=blocks)
 
 

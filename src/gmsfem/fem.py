@@ -162,22 +162,6 @@ def assemble_load(mesh: FineMesh, f) -> np.ndarray:
     return b
 
 
-def apply_dirichlet(A: sp.csr_matrix, b: np.ndarray, mesh: FineMesh,
-                    bc: BoundaryCondition) -> tuple:
-    """Symmetric Dirichlet elimination: identity rows/cols, rhs correction."""
-    if A.shape[0] != len(b):
-        raise ValueError("matrix and rhs sizes differ")
-    bnd = mesh.boundary_nodes
-    g = bc.values(mesh, bnd)
-    bb = b - A[:, bnd] @ g
-    bb[bnd] = g
-    A = A.tolil(copy=True)
-    A[bnd, :] = 0.0
-    A[:, bnd] = 0.0
-    A[bnd, bnd] = 1.0
-    return A.tocsr(), bb
-
-
 def free_nodes(mesh: FineMesh) -> np.ndarray:
     mask = np.ones(mesh.n_nodes, dtype=bool)
     mask[mesh.boundary_nodes] = False

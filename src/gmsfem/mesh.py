@@ -14,12 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 
-def _box_cells(nx: int, cx0: int, cx1: int, cy0: int, cy1: int) -> np.ndarray:
-    """Fine-cell ids of the half-open box [cx0,cx1) x [cy0,cy1)."""
-    ii, jj = np.meshgrid(np.arange(cx0, cx1), np.arange(cy0, cy1), indexing="ij")
-    return np.sort(jj.ravel() * nx + ii.ravel())
-
-
 def _box_nodes(nx: int, ix0: int, ix1: int, iy0: int, iy1: int) -> np.ndarray:
     """Fine-node ids of the closed node box [ix0,ix1] x [iy0,iy1]."""
     ii, jj = np.meshgrid(np.arange(ix0, ix1 + 1), np.arange(iy0, iy1 + 1), indexing="ij")
@@ -44,11 +38,21 @@ class FineMesh:
     def n_cells(self) -> int:
         return self.nx * self.ny
 
+    def _check_box(self, cx0: int, cx1: int, cy0: int, cy1: int) -> None:
+        """Reject an empty box and one whose ids would wrap into the next row."""
+        if not (0 <= cx0 < cx1 <= self.nx and 0 <= cy0 < cy1 <= self.ny):
+            raise ValueError(f"cell box {(cx0, cx1, cy0, cy1)} is empty or leaves "
+                             f"the {self.nx}x{self.ny} grid of fine cells")
+
     def cells_in_box(self, cx0: int, cx1: int, cy0: int, cy1: int) -> np.ndarray:
-        return _box_cells(self.nx, cx0, cx1, cy0, cy1)
+        """Fine-cell ids of the half-open box [cx0,cx1) x [cy0,cy1)."""
+        self._check_box(cx0, cx1, cy0, cy1)
+        ii, jj = np.meshgrid(np.arange(cx0, cx1), np.arange(cy0, cy1), indexing="ij")
+        return np.sort(jj.ravel() * self.nx + ii.ravel())
 
     def nodes_in_cell_box(self, cx0: int, cx1: int, cy0: int, cy1: int) -> np.ndarray:
         """All nodes of the cells in the half-open cell box (a closed node box)."""
+        self._check_box(cx0, cx1, cy0, cy1)
         return _box_nodes(self.nx, cx0, cx1, cy0, cy1)
 
     def interior_nodes_of_cell_box(self, cx0, cx1, cy0, cy1) -> np.ndarray:
@@ -128,9 +132,6 @@ class LocalRegion:
     @classmethod
     def from_cell_box(cls, mesh: FineMesh, box: tuple, label: int = -1):
         cx0, cx1, cy0, cy1 = box
-        if not (0 <= cx0 < cx1 <= mesh.nx and 0 <= cy0 < cy1 <= mesh.ny):
-            raise ValueError(f"cell box {box} is empty or leaves the "
-                             f"{mesh.nx}x{mesh.ny} grid")
         nodes = mesh.nodes_in_cell_box(*box)
         i, j = nodes % (mesh.nx + 1), nodes // (mesh.nx + 1)
         on = (i == cx0) | (i == cx1) | (j == cy0) | (j == cy1)

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from gmsfem.coeff import evaluate
-from gmsfem.coupling import (build_affine_operator, build_coarse_basis,
-                             coarse_dirichlet_lift, solve_coarse_galerkin,
-                             solve_fine)
+from gmsfem.coupling import (_solve_compressed, build_affine_operator,
+                             build_coarse_basis, coarse_dirichlet_lift,
+                             solve_coarse_galerkin, solve_fine)
 from gmsfem.fem import (BoundaryCondition, assemble_load, assemble_stiffness,
                         free_nodes, relative_errors)
 from gmsfem.fields import affine_four_term, channels_and_inclusions
@@ -70,6 +70,27 @@ def test_full_retention_reproduces_fine_solution(setup):
         u = solve_coarse_galerkin(fine, A, b, BC, basis)
     err = relative_errors(u, u_ref, A_k, M_k)
     assert err.energy_sq < 1e-16
+
+
+def test_dependent_basis_takes_the_qr_path():
+    # 25 neighborhoods x 20 modes on 529 free nodes: the basis fits, but its
+    # columns are numerically dependent and the coarse matrix is not SPD
+    fine = build_fine_mesh(24, 24)
+    coarse = build_coarse_mesh(fine, 4, 4)
+    kappa = channels_and_inclusions(fine, 1e6)
+    pou = multiscale_pou(coarse, kappa)
+    basis = build_coarse_basis(coarse, pou,
+                               offline_spaces(coarse, kappa, pou=pou, count=20))
+    fr = free_nodes(fine)
+    assert basis.dim <= len(fr)
+    A = assemble_stiffness(fine, kappa)
+    b = assemble_load(fine, 1.0)
+    with pytest.warns(RuntimeWarning, match="coarse basis is rank deficient"):
+        u = solve_coarse_galerkin(fine, A, b, BC, basis)
+    want = coarse_dirichlet_lift(basis, BC)
+    b_f = (b - A @ want)[fr]
+    want[fr] += _solve_compressed(basis.P[fr].toarray(), A[fr][:, fr].tocsr(), b_f)
+    assert np.array_equal(u, want)
 
 
 def test_galerkin_energy_optimality(setup):

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from gmsfem.coeff import CoefficientField
-from gmsfem.fem import (BoundaryCondition, apply_dirichlet, assemble_load,
-                        assemble_mass, assemble_stiffness, free_nodes, norms,
+from gmsfem.fem import (BoundaryCondition, assemble_load, assemble_mass,
+                        assemble_stiffness, free_nodes, norms,
                         reduce_dirichlet, relative_errors)
 from gmsfem.coupling import solve_fine
 from gmsfem.fields import channels_and_inclusions
@@ -120,6 +120,22 @@ def test_load_vector():
     assert b2.sum() == pytest.approx(3.0, rel=1e-14)
     with pytest.raises(ValueError):
         assemble_load(mesh, np.ones(7))
+
+
+def apply_dirichlet(A, b, mesh, bc) -> tuple:
+    """Symmetric Dirichlet elimination: identity rows/cols, rhs correction.
+    The slow reference path that reduce_dirichlet is checked against."""
+    if A.shape[0] != len(b):
+        raise ValueError("matrix and rhs sizes differ")
+    bnd = mesh.boundary_nodes
+    g = bc.values(mesh, bnd)
+    bb = b - A[:, bnd] @ g
+    bb[bnd] = g
+    A = A.tolil(copy=True)
+    A[bnd, :] = 0.0
+    A[:, bnd] = 0.0
+    A[bnd, bnd] = 1.0
+    return A.tocsr(), bb
 
 
 def test_dirichlet_paths_agree():

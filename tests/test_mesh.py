@@ -113,8 +113,11 @@ def test_region_rejects_empty_and_outside_boxes():
     fine = build_fine_mesh(10, 10)
     # (8, 12) would wrap cells 10 and 11 into the next row; (3, 3) has no cell
     for box in [(8, 12, 0, 2), (3, 3, 0, 2), (0, 2, 5, 4), (-1, 2, 0, 2)]:
-        with pytest.raises(ValueError, match="empty or leaves the 10x10 grid"):
-            LocalRegion.from_cell_box(fine, box)
+        for build in [lambda b: LocalRegion.from_cell_box(fine, b),
+                      lambda b: fine.cells_in_box(*b),
+                      lambda b: fine.nodes_in_cell_box(*b)]:
+            with pytest.raises(ValueError, match="empty or leaves the 10x10 grid"):
+                build(box)
     region = LocalRegion.from_cell_box(fine, (8, 10, 0, 2), label=7)
     assert region.label == 7
     assert np.array_equal(region.cells, [8, 9, 18, 19])

@@ -19,8 +19,6 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "gmsfem"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
-# the slow reference path that tests compare reduce_dirichlet against
-ALLOWED = {("fem.py", "apply_dirichlet")}
 WORD = re.compile(r"[A-Za-z_]\w*")
 DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
 README_CODE = re.compile(r"```python\n(.*?)```", re.S)
@@ -139,7 +137,7 @@ def _repo_sources() -> tuple:
 
 
 def test_every_library_name_has_a_caller():
-    assert set(unreferenced(*_repo_sources())) == ALLOWED
+    assert unreferenced(*_repo_sources()) == []
 
 
 def test_scan_finds_an_unread_member():

@@ -9,14 +9,16 @@ import scipy.linalg as la
 import scipy.sparse as sp
 
 from gmsfem.coeff import CoefficientField
+from gmsfem.coupling import build_coarse_basis
 from gmsfem.fem import (BoundaryCondition, assemble_load, assemble_mass,
                         assemble_stiffness, reduce_dirichlet)
 from gmsfem.fields import channels_and_inclusions
 from gmsfem.mesh import build_coarse_mesh, build_fine_mesh, build_overlap
 from gmsfem.pou import bilinear_pou, energy_min_pou
 from gmsfem.solvers import (NumericalError, SparseFactor, build_two_level,
-                            dense_gen_eig, full_gen_eig, leading_gen_eig,
-                            pcg, _lanczos_condition)
+                            dense_gen_eig, full_gen_eig, galerkin_factor,
+                            leading_gen_eig, pcg, _lanczos_condition)
+from gmsfem.spaces import offline_spaces
 from pou_oracles import dense_chi
 
 
@@ -154,6 +156,48 @@ def test_sparse_factor():
     assert np.linalg.norm(A @ x - b) < 1e-9
     with pytest.raises(ValueError):
         SparseFactor(sp.csr_matrix(np.ones((2, 3))))
+    # a zero diagonal pivot: only a row swap factors it
+    with pytest.raises(NumericalError, match="not positive definite"):
+        SparseFactor(sp.csr_matrix([[0.0, 1.0], [1.0, 0.0]]))
+
+
+def test_galerkin_factor_takes_tiny_pivots():
+    # the energy-min POU is about 1e-12 at the corner coarse nodes, so the
+    # coarse matrix is SPD with pivots near 5e-26: no relative cut-off
+    fine = build_fine_mesh(20, 20)
+    coarse = build_coarse_mesh(fine, 4, 4)
+    kappa = channels_and_inclusions(fine, 1e6)
+    pou = energy_min_pou(coarse, kappa)
+    spaces = offline_spaces(coarse, kappa, "harmonic", pou=pou, count=4)
+    A = assemble_stiffness(fine, kappa)
+    A_ff, b_f, fr, _ = reduce_dirichlet(A, assemble_load(fine, 1.0), fine,
+                                        BoundaryCondition(0.0))
+    P = build_coarse_basis(coarse, pou, spaces).P[fr]
+    S0 = P.T @ (A_ff @ P)
+    factor = galerkin_factor(S0)
+    assert factor._lu.U.diagonal().min() < 1e-20
+    r = P.T @ b_f
+    assert np.linalg.norm(S0 @ factor.solve(r) - r) < 1e-10 * np.linalg.norm(r)
+
+
+def test_galerkin_factor_rejects_indefinite_and_singular():
+    with pytest.raises(NumericalError, match="not positive definite"):
+        galerkin_factor(sp.csr_matrix([[1.0, 2.0], [2.0, 1.0]]))
+    A_ff, b_f, P, _ = _laplace_problem()
+    # a duplicated interior column cancels to an exactly zero pivot
+    P2 = sp.hstack([P, P[:, [12]]], format="csr")
+    with pytest.raises(NumericalError):
+        galerkin_factor(P2.T @ (A_ff @ P2))
+    # next to the boundary the cancellation leaves a pivot of +4e-16, which
+    # the sign test may take; the right-hand side is consistent, so P c is
+    # then still the Galerkin solution
+    want = P @ galerkin_factor(P.T @ (A_ff @ P)).solve(P.T @ b_f)
+    P3 = sp.hstack([P, P[:, [3]]], format="csr")
+    try:
+        got = P3 @ galerkin_factor(P3.T @ (A_ff @ P3)).solve(P3.T @ b_f)
+    except NumericalError:
+        return
+    assert np.abs(got - want).max() < 1e-12 * np.abs(want).max()
 
 
 def test_cg_solves_spd_system():
@@ -244,15 +288,20 @@ def test_two_level_preconditioner_on_laplace():
 
 def test_two_level_apply_matches_subdomain_loop():
     # the block-diagonal factor and the stacked restriction give the bits
-    # of one factor and one scatter-add per subdomain, in subdomain order
+    # of one factor and one scatter-add per subdomain, in subdomain order;
+    # the coarse part also matches a dense Cholesky of P'AP to 1e-12
+    # relative (a different elimination order moves the last bits)
     A_ff, b_f, P, subs = _laplace_problem()
     M = build_two_level(A_ff, P, subs)
+    c0 = galerkin_factor(P.T @ (A_ff @ P))
     S0 = (P.T @ (A_ff @ P)).toarray()
-    c0 = la.cho_factor(0.5 * (S0 + S0.T))
+    c_dense = la.cho_factor(0.5 * (S0 + S0.T))
     factors = [SparseFactor(A_ff[idx][:, idx]) for idx in subs]
     rng = np.random.default_rng(11)
     for v in [b_f, *rng.standard_normal((3, len(b_f)))]:
-        out = P @ la.cho_solve(c0, P.T @ v)
+        out = P @ c0.solve(P.T @ v)
+        dense = P @ la.cho_solve(c_dense, P.T @ v)
+        assert np.abs(out - dense).max() <= 1e-12 * np.abs(dense).max()
         for idx, f in zip(subs, factors):
             out[idx] += f.solve(v[idx])
         assert np.array_equal(M(v), out)
@@ -270,7 +319,8 @@ def test_two_level_names_a_singular_subdomain():
 
 
 def test_two_level_and_energy_min_pou_factor_once(monkeypatch):
-    # one SparseFactor holds every subdomain (or neighborhood) block
+    # one SparseFactor holds every subdomain (or neighborhood) block, after
+    # the coarse matrix's own
     shapes = []
     init = SparseFactor.__init__
 
@@ -281,11 +331,11 @@ def test_two_level_and_energy_min_pou_factor_once(monkeypatch):
     monkeypatch.setattr(SparseFactor, "__init__", counted)
     A_ff, _, P, subs = _laplace_problem()
     build_two_level(A_ff, P, subs)
-    assert shapes == [sum(map(len, subs))]
+    assert shapes == [P.shape[1], sum(map(len, subs))]
     fine = build_fine_mesh(20, 20)
     coarse = build_coarse_mesh(fine, 4, 4)
     energy_min_pou(coarse, channels_and_inclusions(fine, 1e3))
-    assert shapes[1:] == [sum(len(fine.free_nodes_of_cell_box(*nb.cell_box))
+    assert shapes[2:] == [sum(len(fine.free_nodes_of_cell_box(*nb.cell_box))
                               for nb in coarse.neighborhoods)]
 
 
