@@ -13,7 +13,7 @@ import scipy.sparse as sp
 
 from .coeff import CoefficientField
 from .mesh import FineMesh, LocalRegion
-from .solvers import SparseFactor
+from .solvers import block_factor
 
 
 @dataclass
@@ -124,24 +124,17 @@ def assemble_mass(mesh: FineMesh, weight=None, region: LocalRegion = None,
     return _assemble(mesh, tris, local, region)
 
 
-def harmonic_extension(mesh: FineMesh, kappa: CoefficientField,
-                       region: LocalRegion, traces: np.ndarray) -> np.ndarray:
-    """kappa-harmonic extensions into the region of boundary traces.
-
-    traces holds one column per trace, one row per region.boundary_nodes
-    entry; the result holds the extensions at region.nodes.  The region's
-    Neumann stiffness is assembled and its interior block factored once.
-    """
-    A = assemble_stiffness(mesh, kappa, region=region)
-    lb = region.local_index(mesh, region.boundary_nodes)
-    interior = np.ones(region.n_nodes, dtype=bool)
-    interior[lb] = False
-    li = np.flatnonzero(interior)
-    out = np.zeros((region.n_nodes, traces.shape[1]))
-    out[lb] = traces
-    if len(li):
-        A_i = A[li]
-        out[li] = SparseFactor(A_i[:, li]).solve(-(A_i[:, lb] @ traces))
+def harmonic_extension(A, inner: list, G: np.ndarray) -> np.ndarray:
+    """G with its rows in each index set of inner replaced by the A-harmonic
+    extension of its other rows.  A's rows at the sets must be whole stiffness
+    rows (of nodes off a box boundary) that reach no other set; every nonempty
+    set's principal block is factored at once by solvers.block_factor."""
+    sets = [idx for idx in inner if len(idx)]
+    out = np.array(G, dtype=float, order="C")  # the layout moves BLAS bits
+    if sets:
+        rows = np.concatenate(sets)
+        out[rows] = 0.0
+        out[rows] = block_factor(A, sets, "box")[0].solve(-(A[rows] @ out))
     return out
 
 

@@ -10,7 +10,7 @@ import numpy as np
 from .coeff import CoefficientField
 from .fem import (_cells_to_triangles, _triangle_geometry, assemble_mass,
                   assemble_stiffness, harmonic_extension)
-from .mesh import CoarseMesh, LocalRegion
+from .mesh import CoarseMesh
 from .solvers import NumericalError, block_factor, pcg
 
 # relative residual at which CG stops on the energy-minimizing multiplier
@@ -57,34 +57,32 @@ def _normalized(kind: str, coarse: CoarseMesh, local: list) -> PartitionOfUnity:
 
 
 def bilinear_pou(coarse: CoarseMesh) -> PartitionOfUnity:
-    """Tensor-product hat per coarse node, evaluated at fine nodes."""
-    fine = coarse.fine
-    Hx, Hy = 1.0 / coarse.Nx, 1.0 / coarse.Ny
+    """Tensor-product hat per coarse node at fine nodes, from their integer
+    offsets, so a hat is exactly 0 on its neighborhood's boundary."""
+    nx1 = coarse.fine.nx + 1
     local = []
     for i, nb in enumerate(coarse.neighborhoods):
         I, J = coarse.coarse_node_ij(i)
-        x, y = fine.node_coords[nb.nodes].T
-        hx = np.maximum(0.0, 1.0 - np.abs(x - I * Hx) / Hx)
-        hy = np.maximum(0.0, 1.0 - np.abs(y - J * Hy) / Hy)
+        hx = np.maximum(0.0, 1.0 - np.abs(nb.nodes % nx1 - I * coarse.mx) / coarse.mx)
+        hy = np.maximum(0.0, 1.0 - np.abs(nb.nodes // nx1 - J * coarse.my) / coarse.my)
         local.append(hx * hy)
     return _normalized("bilinear", coarse, local)
 
 
 def multiscale_pou(coarse: CoarseMesh, kappa: CoefficientField) -> PartitionOfUnity:
-    """kappa-harmonic extension of the bilinear traces inside every coarse cell."""
+    """kappa-harmonic extension of the bilinear traces inside every coarse
+    cell.  The hats of one parity colour I % 2 + 2 * (J % 2) never share a
+    cell, so one fem.harmonic_extension of the four colour sums serves all."""
     fine = coarse.fine
-    hats = bilinear_pou(coarse)
-    local = [np.zeros(nb.n_nodes) for nb in coarse.neighborhoods]
-    for K in range(coarse.n_blocks):
-        block = LocalRegion.from_cell_box(fine, coarse.block_node_box(K))
-        bi, bj = K % coarse.Nx, K // coarse.Nx
-        corners = [coarse.coarse_node_id(bi + di, bj + dj)
-                   for dj in (0, 1) for di in (0, 1)]
-        traces = np.column_stack([hats.at(c, block.boundary_nodes) for c in corners])
-        ext = harmonic_extension(fine, kappa, block, traces)
-        for c, chi in zip(corners, ext.T):
-            local[c][fine.box_position(coarse.neighborhoods[c].cell_box,
-                                       block.nodes)] = chi
+    I, J = coarse.coarse_node_ij(np.arange(coarse.N_v))
+    colour = I % 2 + 2 * (J % 2)
+    G = np.zeros((fine.n_nodes, 4))
+    for nb, c, v in zip(coarse.neighborhoods, colour, bilinear_pou(coarse).local):
+        G[nb.nodes, c] += v
+    inner = [fine.interior_nodes_of_cell_box(*coarse.block_node_box(K))
+             for K in range(coarse.n_blocks)]
+    ext = harmonic_extension(assemble_stiffness(fine, kappa), inner, G)
+    local = [ext[nb.nodes, c] for nb, c in zip(coarse.neighborhoods, colour)]
     return _normalized("multiscale", coarse, local)
 
 

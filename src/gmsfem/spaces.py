@@ -60,15 +60,18 @@ class ReducedSpace:
 
 def harmonic_snapshots(mesh: FineMesh, region: LocalRegion,
                        kappa_samples: list) -> SnapshotSpace:
-    """Local harmonic solves (fem.harmonic_extension) with unit nodal data
-    on every boundary node.
+    """Local harmonic solves (fem.harmonic_extension of the region's Neumann
+    stiffness) with unit nodal data on every boundary node.
 
     One column per (boundary node, coefficient sample) pair.
     """
     if len(kappa_samples) < 1:
         raise ValueError("need at least one coefficient sample")
-    unit = np.eye(len(region.boundary_nodes))
-    cols = [harmonic_extension(mesh, kappa, region, unit) for kappa in kappa_samples]
+    bnd = region.local_index(mesh, region.boundary_nodes)
+    inner = region.local_index(mesh, mesh.interior_nodes_of_cell_box(*region.cell_box))
+    unit = sp.identity(region.n_nodes, format="csc")[:, bnd].toarray()
+    cols = [harmonic_extension(assemble_stiffness(mesh, kappa, region=region),
+                               [inner], unit) for kappa in kappa_samples]
     return SnapshotSpace(region=region, columns=np.hstack(cols), kind="harmonic")
 
 
@@ -124,22 +127,18 @@ def _pou_stiffness_form(mesh, region, kappa, pou) -> sp.csr_matrix:
     chi_k psi can be nonzero one cell ring outside the region (psi is
     nonzero on the region boundary), so assembly runs on the padded box.
     Only the chi_k whose neighborhood meets the region can be nonzero on it.
+    The sum is A_ij (C C')_ij, C_ik = chi_k at region node i.
     """
     cx0, cx1, cy0, cy1 = region.cell_box
     pad = LocalRegion.from_cell_box(mesh, (max(cx0 - 1, 0), min(cx1 + 1, mesh.nx),
                                            max(cy0 - 1, 0), min(cy1 + 1, mesh.ny)))
-    A_pad = assemble_stiffness(mesh, kappa, region=pad)
     r_in_pad = pad.local_index(mesh, region.nodes)
-    total = sp.csr_matrix((pad.n_nodes, pad.n_nodes))
-    for k in pou.coarse.nodes_meeting(region.cell_box):
-        # zero outside the region: psi is only defined there
-        d = np.zeros(pad.n_nodes)
-        d[r_in_pad] = pou.at(k, region.nodes)
-        if not np.any(d):
-            continue
-        D = sp.diags(d)
-        total = total + D @ A_pad @ D
-    return total[r_in_pad][:, r_in_pad].tocsr()
+    A_r = assemble_stiffness(mesh, kappa, region=pad)[r_in_pad][:, r_in_pad].tocoo()
+    # chi_k at the region's nodes only: psi is only defined there
+    C = np.column_stack([pou.at(k, region.nodes)
+                         for k in pou.coarse.nodes_meeting(region.cell_box)])
+    A_r.data *= np.einsum("ij,ij->i", C[A_r.row], C[A_r.col])
+    return A_r.tocsr()
 
 
 def assemble_s_form(mesh: FineMesh, region: LocalRegion,

@@ -13,7 +13,7 @@ from gmsfem.fem import (BoundaryCondition, assemble_load, assemble_mass,
                         reduce_dirichlet, relative_errors)
 from gmsfem.coupling import solve_fine
 from gmsfem.fields import channels_and_inclusions
-from gmsfem.mesh import build_coarse_mesh, build_fine_mesh
+from gmsfem.mesh import LocalRegion, build_coarse_mesh, build_fine_mesh
 
 
 def _linear(mesh, fx, fy, c=0.0):
@@ -87,17 +87,23 @@ def test_mass_triangle_weight():
     assert ones @ (M @ ones) == pytest.approx(tw.sum() * tri_area, rel=1e-13)
 
 
-@pytest.mark.parametrize("node", [(0, 2), (2, 2)], ids=["edge", "interior"])
-def test_region_assembly_is_the_global_matrix_at_interior_rows(node):
+@pytest.mark.parametrize("box", [
+    lambda coarse: coarse.neighborhoods[coarse.coarse_node_id(0, 2)].cell_box,
+    lambda coarse: coarse.neighborhoods[coarse.coarse_node_id(2, 2)].cell_box,
+    lambda coarse: coarse.block_node_box(5)], ids=["edge", "interior", "cell"])
+def test_region_assembly_is_the_global_matrix_at_interior_rows(box):
     # a node off the box boundary has every triangle inside the box, so its
-    # row of the region's Neumann matrix is its global row, bit for bit
+    # row of the region's Neumann matrix is its global row, bit for bit:
+    # the premise of fem.harmonic_extension on the global stiffness, which
+    # multiscale_pou solves in every coarse-cell box
     fine = build_fine_mesh(20, 20)
     coarse = build_coarse_mesh(fine, 4, 4)
     kappa = channels_and_inclusions(fine, 1e4)
-    region = coarse.neighborhoods[coarse.coarse_node_id(*node)]
+    region = LocalRegion.from_cell_box(fine, box(coarse))
     inner = np.ones(region.n_nodes, dtype=bool)
     inner[region.local_index(fine, region.boundary_nodes)] = False
     rows = region.nodes[inner]
+    assert np.array_equal(rows, fine.interior_nodes_of_cell_box(*region.cell_box))
     for local, whole in [
             (assemble_stiffness(fine, kappa, region=region),
              assemble_stiffness(fine, kappa)),

@@ -145,11 +145,39 @@ def test_energy_min_matches_the_per_neighborhood_loop(sized):
         assert np.array_equal(mine, theirs)
 
 
-def test_multiscale_matches_the_per_block_loop(sized):
-    _, coarse, kappa, pous = sized
+@pytest.mark.parametrize("sizes", ORACLE_SIZES + [(200, 20)],
+                         ids=lambda p: f"{p[0]}/{p[1]}")
+def test_multiscale_matches_the_per_block_loop(sizes):
+    # one joint factor of every coarse cell's block orders SuperLU's
+    # elimination differently from one factor per block: last bits move
+    fine = build_fine_mesh(sizes[0], sizes[0])
+    coarse = build_coarse_mesh(fine, sizes[1], sizes[1])
+    kappa = channels_and_inclusions(fine, 1e3)
     looped = looped_multiscale_pou(coarse, kappa)
-    for mine, theirs in zip(pous["multiscale"].local, looped.local):
+    for mine, theirs in zip(multiscale_pou(coarse, kappa).local, looped.local):
+        assert np.abs(mine - theirs).max() <= 1e-13
+
+
+def test_multiscale_without_cell_interiors_is_bilinear():
+    # one fine cell per coarse cell: no interior node to extend into
+    fine = build_fine_mesh(8, 8)
+    coarse = build_coarse_mesh(fine, 8, 8)
+    kappa = CoefficientField(np.random.default_rng(3).uniform(1.0, 1e3, fine.n_cells))
+    for mine, theirs in zip(multiscale_pou(coarse, kappa).local,
+                            bilinear_pou(coarse).local):
         assert np.array_equal(mine, theirs)
+
+
+@pytest.mark.parametrize("n, c", [(60, 6), (100, 10)])
+def test_bilinear_hat_vanishes_on_its_neighborhood_boundary(n, c):
+    # hats from integer node offsets leave no rounding residue one cell
+    # ring past omega_i, which the multiscale POU's colour sums would carry
+    fine = build_fine_mesh(n, n)
+    coarse = build_coarse_mesh(fine, c, c)
+    pou = bilinear_pou(coarse)
+    for i, nb in enumerate(coarse.neighborhoods):
+        edge = np.setdiff1d(nb.boundary_nodes, fine.boundary_nodes)
+        assert np.all(pou.at(i, edge) == 0.0), i
 
 
 def test_energy_min_names_a_singular_neighborhood(setup, monkeypatch):
