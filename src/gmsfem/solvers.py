@@ -4,8 +4,11 @@ and a Lanczos condition estimate recovered from the CG coefficients."""
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import warnings
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import scipy.linalg as la
@@ -18,6 +21,17 @@ class NumericalError(RuntimeError):
 
 
 INF_CUTOFF = 1e-12  # relative rank tolerance on the S side
+
+
+def _pin_numpy_blas():
+    for path in (Path(np.__file__).resolve().parents[1] / "numpy.libs").glob("*openblas*"):
+        with contextlib.suppress(OSError, AttributeError):
+            set_threads = ctypes.CDLL(str(path)).scipy_openblas_set_num_threads64_
+            set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+            return set_threads(1)
+
+
+_pin_numpy_blas()  # one thread for numpy's bundled OpenBLAS, if any (README)
 
 
 def dense_gen_eig(A: np.ndarray, S: np.ndarray):
@@ -37,8 +51,7 @@ def dense_gen_eig(A: np.ndarray, S: np.ndarray):
     S = np.asarray(S, dtype=float)
     if A.shape != S.shape or A.shape[0] != A.shape[1]:
         raise ValueError("A and S must be square of equal size")
-    A = 0.5 * (A + A.T)
-    S = 0.5 * (S + S.T)
+    A, S = 0.5 * (A + A.T), 0.5 * (S + S.T)
     try:
         L = np.linalg.cholesky(A)
     except np.linalg.LinAlgError:
@@ -71,6 +84,7 @@ def full_gen_eig(A, S, n=None):
     """The n leading eigenpairs of A psi = lambda S psi, every pair when n
     is None or not below the size, with A, S symmetric positive
     semidefinite (dense or scipy.sparse) and A + S positive definite.
+    Nothing symmetrises A and S: the eigh reads their lower triangles.
 
     Solves S v = mu (A+S) v by scipy.linalg.eigh for the n smallest mu,
     the n largest lambda, with (A+S)-orthonormal v; lambda = (1 - mu)/mu
@@ -88,15 +102,13 @@ def full_gen_eig(A, S, n=None):
         raise ValueError("A and S must be square of equal size")
     A_d, S_d = (M.toarray() if sp.issparse(M) else np.asarray(M, dtype=float)
                 for M in (A, S))
-    A_d, S_d = (0.5 * (M + M.T) for M in (A_d, S_d))
     subset = None if n is None or n >= A.shape[0] else [0, n - 1]
     try:
         mu, V = la.eigh(S_d, A_d + S_d, subset_by_index=subset)
     except la.LinAlgError:
         raise NumericalError("A+S of the pencil is not positive definite") from None
     a_norm2 = 1.0 - mu
-    # S @ V with a sparse S stays out of BLAS: a dense GEMM here tripled
-    # the fine-grid offline stage at 2 BLAS threads
+    # S @ V, not S_d @ V: a sparse S is cheaper than a dense GEMM
     s_null = (np.einsum("ij,ij->j", V, S @ V) / np.einsum("ij,ij->j", V, V)
               <= INF_CUTOFF * np.abs(S_d).sum(axis=0).max())
     lam = np.maximum(a_norm2, 0.0) / np.maximum(mu, np.finfo(float).tiny)

@@ -181,11 +181,14 @@ def _reduce(R, a_mat, s_mat, stage: str, region, count=None, threshold=None,
     """
     if count is not None and count < 1:
         raise ValueError(f"count must be >= 1, not {count}")
-    A, S = (a_mat, s_mat) if R is None else (R.T @ (a_mat @ R), R.T @ (s_mat @ R))
-    T, dropped = None, 0
-    if drop_tol is not None and R is not None:
-        T, dropped = _orthonormal_transform(A + S, drop_tol)
-        A, S = T.T @ A @ T, T.T @ S @ T
+    A, S, T, dropped = a_mat, s_mat, None, 0  # assembled forms: exactly symmetric
+    if R is not None:
+        R = np.ascontiguousarray(R)  # the bits of the products follow the layout
+        A, S = R.T @ (a_mat @ R), R.T @ (s_mat @ R)
+        if drop_tol is not None:
+            T, dropped = _orthonormal_transform(A + S, drop_tol)
+            A, S = T.T @ A @ T, T.T @ S @ T
+        A, S = 0.5 * (A + A.T), 0.5 * (S + S.T)  # symmetric up to rounding
     try:
         lam, vecs = full_gen_eig(A, S, None if count is None else count + 1)
     except NumericalError as exc:

@@ -457,9 +457,9 @@ def run_nonlinear_study(fine_n: int = 80, coarse_n: int = 8,
 
     One offline space is built at the largest of offline_counts and
     truncated to each count, as the enrichment ladder does.  The study
-    runs serially: workers is accepted for a uniform study
-    signature but not used (spreading the snapshot stage over
-    neighborhoods did not pay on two cores with multithreaded BLAS).
+    runs serially: workers is accepted for a uniform signature but not
+    used, as threads do not pay here: scipy's LAPACK wrappers and the
+    form assembly hold the GIL, so threads run them one at a time.
     """
     cfg = dict(study="nonlinear", fine=fine_n, coarse=coarse_n, eta=eta,
                alpha=alpha, counts=list(offline_counts),

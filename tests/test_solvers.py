@@ -1,13 +1,19 @@
 """Eigensolver oracle checks, sparse factors, PCG, and the two-level
 preconditioner."""
 
+import json
+import os
+import subprocess
+import sys
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg as la
 import scipy.sparse as sp
 
+from gmsfem import solvers
 from gmsfem.coeff import CoefficientField
 from gmsfem.coupling import build_coarse_basis
 from gmsfem.fem import (BoundaryCondition, assemble_load, assemble_mass,
@@ -125,6 +131,44 @@ def test_full_gen_eig_edges():
         full_gen_eig(np.diag([1.0, 0.0]), np.diag([1.0, 0.0]))
     with pytest.raises(ValueError):
         full_gen_eig(np.eye(3), np.eye(4))
+
+
+# thread counts of numpy's and scipy's bundled OpenBLAS pools before and
+# after `import gmsfem`, as JSON; None where a package bundles none
+POOLS = """
+import ctypes, json
+from pathlib import Path
+import numpy, scipy, scipy.linalg
+
+def threads(pkg, suffix):
+    libs = Path(pkg.__file__).resolve().parent.parent / f"{pkg.__name__}.libs"
+    for path in sorted(libs.glob("*openblas*")):
+        try:
+            lib = ctypes.CDLL(str(path))
+            return getattr(lib, f"scipy_openblas_get_num_threads{suffix}")()
+        except (OSError, AttributeError):
+            continue
+    return None
+
+before = [threads(numpy, "64_"), threads(scipy, "")]
+import gmsfem
+print(json.dumps(before + [threads(numpy, "64_"), threads(scipy, "")]))
+"""
+
+
+def test_import_pins_numpy_blas_to_one_thread():
+    # in a fresh interpreter, importing the package leaves numpy's pool on
+    # one thread and scipy's pool on the count it had before
+    src = str(Path(solvers.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    r = subprocess.run([sys.executable, "-c", POOLS], capture_output=True,
+                       text=True, env=dict(os.environ, PYTHONPATH=path))
+    assert r.returncode == 0, r.stderr
+    numpy_before, scipy_before, numpy_after, scipy_after = json.loads(r.stdout)
+    if numpy_before is None:
+        pytest.skip("numpy bundles no scipy-openblas")
+    assert numpy_after == 1
+    assert scipy_after == scipy_before
 
 
 def test_leading_gen_eig_is_deterministic():

@@ -17,9 +17,9 @@ from gmsfem.nonlinear import NonlinearCoefficient
 from gmsfem.pou import multiscale_pou, pou_gradient_weight
 from gmsfem.solvers import (NumericalError, dense_gen_eig, full_gen_eig,
                             leading_gen_eig)
-from gmsfem.spaces import (LocalRegion, SnapshotSpace, assemble_a_form,
-                           assemble_s_form, build_offline, build_online,
-                           count_unbounded, fine_grid_snapshots,
+from gmsfem.spaces import (A_FORMS, LocalRegion, SnapshotSpace,
+                           assemble_a_form, assemble_s_form, build_offline,
+                           build_online, count_unbounded, fine_grid_snapshots,
                            harmonic_snapshots, local_forms, offline_spaces,
                            spectral_snapshots, truncate)
 from gmsfem.studies import PARAM_SAMPLES
@@ -280,6 +280,33 @@ def test_coarse_basis_and_lift_match_dense_oracle(sized):
                 lift += g_i * chi[i]
         lift[bnd] = bc.values(fine, bnd)
         assert np.array_equal(coarse_dirichlet_lift(basis, bc), lift), name
+
+
+@pytest.mark.parametrize("n,c", [(20, 4), (24, 4), (30, 3), (60, 6)])
+def test_assembled_forms_are_exactly_symmetric(n, c):
+    # nothing symmetrises the local forms before full_gen_eig, whose eigh
+    # reads their lower triangles: every neighborhood, POU and a-form
+    fine, coarse, kappa, pous = pou_problem(n, c)
+    for name, pou in pous.items():
+        for a_form in A_FORMS:
+            forms = local_forms(fine, kappa, a_form, pou)
+            for nb in coarse.neighborhoods:
+                for M in forms(nb):
+                    assert (M != M.T).nnz == 0, (name, a_form, nb.label)
+
+
+def test_offline_does_not_depend_on_the_snapshot_layout(setup):
+    # the rounding of the projection follows the layout of the columns, so
+    # _reduce makes them C-contiguous: F order gives the same bits
+    fine, _, kappa, pou, region = setup
+    snap = harmonic_snapshots(fine, region, [kappa])
+    f_snap = SnapshotSpace(region, np.asfortranarray(snap.columns), "harmonic")
+    assert not f_snap.columns.flags.c_contiguous
+    a_mat, s_mat = local_forms(fine, kappa, "pou_grad_mass", pou)(region)
+    want = build_offline(snap, a_mat, s_mat, count=3)
+    got = build_offline(f_snap, a_mat, s_mat, count=3)
+    assert np.array_equal(got.columns, want.columns)
+    assert np.array_equal(got.eigenvalues, want.eigenvalues)
 
 
 def test_offline_reproduces_dense_eigenproblem(setup):
