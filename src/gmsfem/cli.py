@@ -21,7 +21,7 @@ from .coupling import build_coarse_basis, solve_coarse_galerkin, solve_fine
 from .fem import BoundaryCondition, assemble_load, relative_errors
 from .mesh import build_coarse_mesh, build_fine_mesh
 from .pou import bilinear_pou, energy_min_pou, multiscale_pou
-from .solvers import NumericalError
+from .solvers import EIGEN_KERNEL, NumericalError
 from .spaces import (A_FORMS, build_online, local_forms, offline_spaces,
                      parallel_map, snapshot_space)
 from .studies import (PARAM_SAMPLES, eigendecay_sources, run_anisotropic_study,
@@ -377,6 +377,9 @@ def main(argv=None) -> int:
         for flag in UNREAD.get(args.command, ()):
             if getattr(args, flag) is not None:
                 raise ConfigError(f"{args.command} does not read --{flag}")
+        if args.workers > 1 and EIGEN_KERNEL != "dsygvx":
+            print(f"warning: {EIGEN_KERNEL} solves the pencils one at a time "
+                  "whatever --workers is", file=sys.stderr)
         return COMMANDS[args.command](cfg, args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

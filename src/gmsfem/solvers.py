@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+import scipy
 import scipy.linalg as la
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
@@ -23,15 +24,44 @@ class NumericalError(RuntimeError):
 INF_CUTOFF = 1e-12  # relative rank tolerance on the S side
 
 
-def _pin_numpy_blas():
-    for path in (Path(np.__file__).resolve().parents[1] / "numpy.libs").glob("*openblas*"):
+def _bundled(pkg, name):
+    """Function name of pkg's bundled scipy-openblas (in <pkg>.libs), or None."""
+    libs = Path(pkg.__file__).resolve().parents[1] / f"{pkg.__name__}.libs"
+    for path in sorted(libs.glob("*openblas*")):
         with contextlib.suppress(OSError, AttributeError):
-            set_threads = ctypes.CDLL(str(path)).scipy_openblas_set_num_threads64_
-            set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
-            return set_threads(1)
+            return getattr(ctypes.CDLL(str(path)), name)
+    return None
 
 
-_pin_numpy_blas()  # one thread for numpy's bundled OpenBLAS, if any (README)
+for _set_threads in (_bundled(np, "scipy_openblas_set_num_threads64_"),
+                     _bundled(scipy, "scipy_openblas_set_num_threads")):
+    if _set_threads is not None:
+        _set_threads(1)  # one thread for each bundled OpenBLAS pool (README)
+
+# scipy's LAPACKE dsygvx: a ctypes call releases the GIL (README)
+_dsygvx = _bundled(scipy, "scipy_LAPACKE_dsygvx")
+EIGEN_KERNEL = "scipy.linalg.eigh" if _dsygvx is None else "dsygvx"
+if _dsygvx is not None:
+    _I, _D, _P, _C = ctypes.c_int, ctypes.c_double, ctypes.c_void_p, ctypes.c_char
+    _dsygvx.argtypes = [_I, _I, _C, _C, _C, _I, _P, _I, _P, _I, _D, _D, _I, _I,
+                        _D, _P, _P, _P, _I, _P]
+
+
+def _leading_eigh(S, B, n):
+    """la.eigh(S, B, subset_by_index=[0, n - 1]) with the arguments it gives
+    LAPACK dsygvx (column-major, lower triangles, abstol 0), so the same bits."""
+    if _dsygvx is None:
+        return la.eigh(S, B, subset_by_index=[0, n - 1])
+    size = S.shape[0]
+    a, b = (np.array(M, dtype=float, order="F") for M in (S, B))  # overwritten
+    m, ifail = np.zeros(1, np.intc), np.zeros(size, np.intc)
+    w, z = np.empty(size), np.empty((size, n), order="F")
+    info = _dsygvx(102, 1, b"V", b"I", b"L", size, a.ctypes.data, size,
+                   b.ctypes.data, size, 0.0, 0.0, 1, n, 0.0, m.ctypes.data,
+                   w.ctypes.data, z.ctypes.data, size, ifail.ctypes.data)
+    if info != 0:
+        raise la.LinAlgError(f"dsygvx info {info}")
+    return w[:n], z
 
 
 def dense_gen_eig(A: np.ndarray, S: np.ndarray):
@@ -84,9 +114,9 @@ def full_gen_eig(A, S, n=None):
     """The n leading eigenpairs of A psi = lambda S psi, every pair when n
     is None or not below the size, with A, S symmetric positive
     semidefinite (dense or scipy.sparse) and A + S positive definite.
-    Nothing symmetrises A and S: the eigh reads their lower triangles.
+    Nothing symmetrises A and S: the solver reads their lower triangles.
 
-    Solves S v = mu (A+S) v by scipy.linalg.eigh for the n smallest mu,
+    Solves S v = mu (A+S) v (dsygvx; eigh for all pairs) for the n smallest mu,
     the n largest lambda, with (A+S)-orthonormal v; lambda = (1 - mu)/mu
     and psi = v/sqrt(1 - mu) is A-normalized.  A pair is an S-null mode,
     lambda = inf, when its S Rayleigh quotient psi'S psi/psi'psi is at most
@@ -102,9 +132,9 @@ def full_gen_eig(A, S, n=None):
         raise ValueError("A and S must be square of equal size")
     A_d, S_d = (M.toarray() if sp.issparse(M) else np.asarray(M, dtype=float)
                 for M in (A, S))
-    subset = None if n is None or n >= A.shape[0] else [0, n - 1]
     try:
-        mu, V = la.eigh(S_d, A_d + S_d, subset_by_index=subset)
+        mu, V = (la.eigh(S_d, A_d + S_d) if n is None or n >= A.shape[0]
+                 else _leading_eigh(S_d, A_d + S_d, n))
     except la.LinAlgError:
         raise NumericalError("A+S of the pencil is not positive definite") from None
     a_norm2 = 1.0 - mu
@@ -187,15 +217,13 @@ def _lanczos_condition(alphas, betas) -> float:
     k = len(alphas)
     if k <= 1:
         return 1.0
-    diag = np.empty(k)
-    off = np.empty(k - 1)
+    diag, off = np.empty(k), np.empty(k - 1)
     diag[0] = 1.0 / alphas[0]
     for i in range(1, k):
         diag[i] = 1.0 / alphas[i] + betas[i - 1] / alphas[i - 1]
         off[i - 1] = np.sqrt(betas[i - 1]) / alphas[i - 1]
     ev = la.eigvalsh_tridiagonal(diag, off)
-    lo = max(ev[0], np.finfo(float).tiny)
-    return float(ev[-1] / lo)
+    return float(ev[-1] / max(ev[0], np.finfo(float).tiny))
 
 
 def pcg(A, b: np.ndarray, M_inv=None, tol: float = 1e-10, max_it: int = 1000):
@@ -240,14 +268,12 @@ def pcg(A, b: np.ndarray, M_inv=None, tol: float = 1e-10, max_it: int = 1000):
             warned = True
         best = min(best, rel)
         if rel <= tol:
-            cond = _lanczos_condition(alphas, betas)
-            return x, PcgReport(it, history, cond, True)
+            return x, PcgReport(it, history, _lanczos_condition(alphas, betas), True)
         beta = rz_new / rz
         betas.append(beta)
         p = z + beta * p
         rz = rz_new
-    cond = _lanczos_condition(alphas, betas)
-    return x, PcgReport(max_it, history, cond, False)
+    return x, PcgReport(max_it, history, _lanczos_condition(alphas, betas), False)
 
 
 def block_factor(A, index_sets: list, label: str):

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from gmsfem import cli
 from gmsfem.cli import _STUDIES, _study_config, main
 from gmsfem.coeff import read_field
 
@@ -162,6 +163,23 @@ def test_workers_below_one_is_config_error(tmp_path, capsys, command, workers):
     err = capsys.readouterr().err
     assert "--workers" in err
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("kernel,lines", [("dsygvx", 0), ("scipy.linalg.eigh", 1)])
+def test_workers_on_the_eigh_fallback_say_so(tmp_path, capsys, monkeypatch,
+                                             kernel, lines):
+    # eigh holds the GIL, so more workers do not split the eigen stage: one
+    # stderr line says so, after the config check (errors stay one line)
+    monkeypatch.setattr(cli, "EIGEN_KERNEL", kernel)
+    cfg = _cfg(tmp_path, {"fine": 20, "coarse": 4})
+    assert main(["--config", cfg, "--workers", "2", "mesh-info"]) == 0
+    err = capsys.readouterr().err
+    assert err.count("\n") == lines and ("one at a time" in err) == (lines == 1)
+    assert main(["--config", cfg, "mesh-info"]) == 0
+    assert capsys.readouterr().err == ""
+    bad = _cfg(tmp_path, {"fine": 20, "coarse": 3}, "bad.json")
+    assert main(["--config", bad, "--workers", "2", "mesh-info"]) == 2
+    assert capsys.readouterr().err.count("\n") == 1
 
 
 @pytest.mark.parametrize("flag,command", [

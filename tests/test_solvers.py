@@ -20,11 +20,11 @@ from gmsfem.fem import (BoundaryCondition, assemble_load, assemble_mass,
                         assemble_stiffness, reduce_dirichlet)
 from gmsfem.fields import channels_and_inclusions
 from gmsfem.mesh import build_coarse_mesh, build_fine_mesh, build_overlap
-from gmsfem.pou import bilinear_pou, energy_min_pou
+from gmsfem.pou import bilinear_pou, energy_min_pou, multiscale_pou
 from gmsfem.solvers import (NumericalError, SparseFactor, build_two_level,
                             dense_gen_eig, full_gen_eig, galerkin_factor,
                             leading_gen_eig, pcg, _lanczos_condition)
-from gmsfem.spaces import offline_spaces
+from gmsfem.spaces import local_forms, offline_spaces
 from pou_oracles import dense_chi
 
 
@@ -156,19 +156,69 @@ print(json.dumps(before + [threads(numpy, "64_"), threads(scipy, "")]))
 """
 
 
-def test_import_pins_numpy_blas_to_one_thread():
-    # in a fresh interpreter, importing the package leaves numpy's pool on
-    # one thread and scipy's pool on the count it had before
+def test_import_pins_both_blas_pools_to_one_thread():
+    # in a fresh interpreter, importing the package leaves numpy's and
+    # scipy's pools on one thread each: the workers split the eigen stage
     src = str(Path(solvers.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     r = subprocess.run([sys.executable, "-c", POOLS], capture_output=True,
                        text=True, env=dict(os.environ, PYTHONPATH=path))
     assert r.returncode == 0, r.stderr
     numpy_before, scipy_before, numpy_after, scipy_after = json.loads(r.stdout)
-    if numpy_before is None:
-        pytest.skip("numpy bundles no scipy-openblas")
-    assert numpy_after == 1
-    assert scipy_after == scipy_before
+    if numpy_before is None and scipy_before is None:
+        pytest.skip("neither numpy nor scipy bundles scipy-openblas")
+    assert [numpy_after, scipy_after] == [None if before is None else 1
+                                          for before in (numpy_before, scipy_before)]
+
+
+def _interior_pencil():
+    # the a- and s-forms of a fine 24 / coarse 4 pou_grad_mass pencil at an
+    # interior coarse node: 169 rows
+    fine = build_fine_mesh(24, 24)
+    coarse = build_coarse_mesh(fine, 4, 4)
+    kappa = channels_and_inclusions(fine, 1e6)
+    forms = local_forms(fine, kappa, "pou_grad_mass", multiscale_pou(coarse, kappa))
+    nb = coarse.neighborhoods[coarse.coarse_node_id(2, 2)]
+    return [m.toarray() for m in forms(nb)]
+
+
+@pytest.mark.skipif(solvers.EIGEN_KERNEL != "dsygvx",
+                    reason="scipy bundles no scipy-openblas with LAPACKE")
+def test_dsygvx_kernel_gives_the_bits_of_eigh():
+    # the same pairs as eigh's subset driver, bit for bit, also when more
+    # threads than cores call the kernel at once (criterion 11 needs it)
+    a, s = _interior_pencil()
+    assert a.shape == (169, 169)
+    for n in (1, 5, 9):
+        want = la.eigh(s, a + s, subset_by_index=[0, n - 1])
+        with ThreadPoolExecutor(max_workers=8) as ex:
+            runs = list(ex.map(lambda _: solvers._leading_eigh(s, a + s, n),
+                               range(16)))
+        for w, v in runs:
+            assert np.array_equal(w, want[0]) and np.array_equal(v, want[1])
+
+
+def test_eigh_fallback_gives_the_same_pairs(monkeypatch):
+    a, s = _interior_pencil()
+    lam, vecs = full_gen_eig(a, s, 5)
+    monkeypatch.setattr(solvers, "_dsygvx", None)
+    lam_eigh, vecs_eigh = full_gen_eig(a, s, 5)
+    assert np.array_equal(lam, lam_eigh) and np.array_equal(vecs, vecs_eigh)
+
+
+@pytest.mark.skipif(solvers.EIGEN_KERNEL != "dsygvx",
+                    reason="scipy bundles no scipy-openblas with LAPACKE")
+def test_dsygvx_kernel_raises_on_a_singular_pencil(monkeypatch):
+    calls, kernel = [], solvers._dsygvx
+
+    def counted(*args):
+        calls.append(kernel(*args))
+        return calls[-1]
+
+    monkeypatch.setattr(solvers, "_dsygvx", counted)
+    with pytest.raises(NumericalError, match="not positive definite"):
+        full_gen_eig(np.diag([1.0, 0.0, 2.0]), np.diag([1.0, 0.0, 0.0]), 1)
+    assert calls[0] > 3  # info > n: B's factorization failed
 
 
 def test_leading_gen_eig_is_deterministic():
