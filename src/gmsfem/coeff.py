@@ -129,14 +129,8 @@ def cell_box_from_coords(fine: FineMesh, x0, x1, y0, y1) -> tuple:
 def write_field(path, field: CoefficientField, fine: FineMesh) -> None:
     """Field file: line 1 `nx ny scalar|tensor`, then row-major per-cell values."""
     kind = "tensor" if field.is_tensor else "scalar"
-    with open(path, "w") as fh:
-        fh.write(f"{fine.nx} {fine.ny} {kind}\n")
-        if field.is_tensor:
-            for v in field.values:
-                fh.write(f"{v[0]:.17g} {v[1]:.17g}\n")
-        else:
-            for v in field.values:
-                fh.write(f"{v:.17g}\n")
+    np.savetxt(path, field.values, fmt="%.17g", header=f"{fine.nx} {fine.ny} {kind}",
+               comments="")
 
 
 def read_field(path) -> tuple:

@@ -65,15 +65,13 @@ def build_coarse_basis(coarse: CoarseMesh, pou, spaces: dict) -> CoarseBasis:
     for i in sorted(spaces):
         space = spaces[i]
         nb_nodes = space.region.nodes
-        chi = pou.at(i, nb_nodes)
-        keep = ~bnd_mask[nb_nodes]
-        for j in range(space.dim):
-            v = chi * space.columns[:, j]
-            nz = keep & (v != 0.0)
-            rows.append(nb_nodes[nz])
-            cols.append(np.full(int(nz.sum()), col))
-            data.append(v[nz])
-            col += 1
+        V = pou.at(i, nb_nodes)[:, None] * space.columns
+        V[bnd_mask[nb_nodes]] = 0.0
+        r, c = np.nonzero(V)
+        rows.append(nb_nodes[r])
+        cols.append(c + col)
+        data.append(V[r, c])
+        col += space.dim
     if col == 0:
         raise ValueError("coarse basis is empty; no modes were selected")
     P = sp.coo_matrix(
@@ -94,13 +92,10 @@ def coarse_dirichlet_lift(basis: CoarseBasis, bc: BoundaryCondition) -> np.ndarr
     coarse = basis.coarse
     fine = coarse.fine
     lift = np.zeros(fine.n_nodes)
-    pou = basis.pou
+    g = bc.values(fine, coarse.coarse_node_fine_ids)
     for i in range(coarse.N_v):
-        if i in basis.spaces:
-            continue
-        fid = coarse.coarse_node_fine_ids[i]
-        g_i = bc.values(fine, np.array([fid]))[0]
-        lift[coarse.neighborhoods[i].nodes] += g_i * pou.local[i]
+        if i not in basis.spaces:
+            lift[coarse.neighborhoods[i].nodes] += g[i] * basis.pou.local[i]
     lift[fine.boundary_nodes] = bc.values(fine, fine.boundary_nodes)
     return lift
 

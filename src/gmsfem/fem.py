@@ -55,8 +55,9 @@ def _triangles(mesh: FineMesh, region) -> np.ndarray:
 
 
 def _assemble(mesh, tris, local_mats, region):
-    """Scatter (T, 3, 3) element matrices into CSR; with a region, rows and
-    columns are its node box (FineMesh.box_position)."""
+    """Scatter (T, 3, 3) element matrices into CSR, whose conversion sums
+    them; with a region, rows and columns are its node box
+    (FineMesh.box_position)."""
     conn = mesh.triangles[tris]
     if region is None:
         n = mesh.n_nodes
@@ -66,9 +67,7 @@ def _assemble(mesh, tris, local_mats, region):
     rows = np.repeat(conn, 3, axis=1).ravel()
     cols = np.tile(conn, (1, 3)).ravel()
     data = local_mats.reshape(len(tris), 9).ravel()
-    A = sp.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
-    A.sum_duplicates()
-    return A
+    return sp.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
 
 
 def assemble_stiffness(mesh: FineMesh, kappa: CoefficientField,

@@ -16,8 +16,7 @@ import numpy as np
 
 def _box_nodes(nx: int, ix0: int, ix1: int, iy0: int, iy1: int) -> np.ndarray:
     """Fine-node ids of the closed node box [ix0,ix1] x [iy0,iy1]."""
-    ii, jj = np.meshgrid(np.arange(ix0, ix1 + 1), np.arange(iy0, iy1 + 1), indexing="ij")
-    return np.sort(jj.ravel() * (nx + 1) + ii.ravel())
+    return (np.arange(iy0, iy1 + 1)[:, None] * (nx + 1) + np.arange(ix0, ix1 + 1)).ravel()
 
 
 @dataclass
@@ -47,8 +46,7 @@ class FineMesh:
     def cells_in_box(self, cx0: int, cx1: int, cy0: int, cy1: int) -> np.ndarray:
         """Fine-cell ids of the half-open box [cx0,cx1) x [cy0,cy1)."""
         self._check_box(cx0, cx1, cy0, cy1)
-        ii, jj = np.meshgrid(np.arange(cx0, cx1), np.arange(cy0, cy1), indexing="ij")
-        return np.sort(jj.ravel() * self.nx + ii.ravel())
+        return (np.arange(cy0, cy1)[:, None] * self.nx + np.arange(cx0, cx1)).ravel()
 
     def nodes_in_cell_box(self, cx0: int, cx1: int, cy0: int, cy1: int) -> np.ndarray:
         """All nodes of the cells in the half-open cell box (a closed node box)."""
@@ -109,9 +107,8 @@ def build_fine_mesh(nx: int, ny: int) -> FineMesh:
     tris[0::2] = np.column_stack([a, b, c])
     tris[1::2] = np.column_stack([a, c, d])
 
-    ii, jj = np.meshgrid(np.arange(nx + 1), np.arange(ny + 1), indexing="ij")
-    on_bnd = (ii == 0) | (ii == nx) | (jj == 0) | (jj == ny)
-    bnd = np.sort((jj.ravel() * (nx + 1) + ii.ravel())[on_bnd.ravel()])
+    jj, ii = np.divmod(np.arange((nx + 1) * (ny + 1)), nx + 1)
+    bnd = np.flatnonzero((ii == 0) | (ii == nx) | (jj == 0) | (jj == ny))
     return FineMesh(nx=nx, ny=ny, node_coords=coords, triangles=tris, boundary_nodes=bnd)
 
 

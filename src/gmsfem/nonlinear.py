@@ -68,11 +68,8 @@ def node_averages(coarse: CoarseMesh, u: np.ndarray) -> np.ndarray:
 
 def cellwise_parameter(coarse: CoarseMesh, block_avg: np.ndarray) -> np.ndarray:
     """Per-fine-cell frozen exponent values from block averages."""
-    fine = coarse.fine
-    out = np.empty(fine.n_cells)
-    for K in range(coarse.n_blocks):
-        out[fine.cells_in_box(*coarse.block_node_box(K))] = block_avg[K]
-    return out
+    return (np.asarray(block_avg, dtype=float).reshape(coarse.Ny, coarse.Nx)
+            .repeat(coarse.my, 0).repeat(coarse.mx, 1).ravel())
 
 
 @dataclass

@@ -217,12 +217,10 @@ def _lanczos_condition(alphas, betas) -> float:
     k = len(alphas)
     if k <= 1:
         return 1.0
-    diag, off = np.empty(k), np.empty(k - 1)
-    diag[0] = 1.0 / alphas[0]
-    for i in range(1, k):
-        diag[i] = 1.0 / alphas[i] + betas[i - 1] / alphas[i - 1]
-        off[i - 1] = np.sqrt(betas[i - 1]) / alphas[i - 1]
-    ev = la.eigvalsh_tridiagonal(diag, off)
+    a, b = np.asarray(alphas), np.asarray(betas[:k - 1])
+    diag = 1.0 / a
+    diag[1:] += b / a[:-1]
+    ev = la.eigvalsh_tridiagonal(diag, np.sqrt(b) / a[:-1])
     return float(ev[-1] / max(ev[0], np.finfo(float).tiny))
 
 

@@ -224,12 +224,12 @@ def build_offline(snap: SnapshotSpace, a_mat: sp.spmatrix, s_mat: sp.spmatrix,
 
 
 def build_online(off: ReducedSpace, a_mat: sp.spmatrix, s_mat: sp.spmatrix,
-                 count=None, threshold=None) -> ReducedSpace:
+                 count=None) -> ReducedSpace:
     """Same reduction, on the offline basis with mu-specific forms."""
     if off.stage != "offline":
         raise ValueError("online spaces are built from an offline space")
     return _reduce(off.columns, a_mat, s_mat, "online", off.region,
-                   count=count, threshold=threshold, drop_tol=None)
+                   count=count, drop_tol=None)
 
 
 def truncate(space: ReducedSpace, count: int) -> ReducedSpace:

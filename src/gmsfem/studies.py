@@ -457,9 +457,8 @@ def run_nonlinear_study(fine_n: int = 80, coarse_n: int = 8,
 
     One offline space is built at the largest of offline_counts and
     truncated to each count, as the enrichment ladder does.  The study
-    runs serially: workers is accepted for a uniform signature but not
-    used, as threads do not pay here: scipy's LAPACK wrappers and the
-    form assembly hold the GIL, so threads run them one at a time.
+    runs serially: workers is accepted for a uniform signature and is not
+    used.
     """
     cfg = dict(study="nonlinear", fine=fine_n, coarse=coarse_n, eta=eta,
                alpha=alpha, counts=list(offline_counts),

@@ -8,6 +8,7 @@ import pytest
 from gmsfem import cli
 from gmsfem.cli import _STUDIES, _study_config, main
 from gmsfem.coeff import read_field
+from gmsfem.solvers import NumericalError
 
 
 def _cfg(tmp_path, data, name="cfg.json"):
@@ -61,6 +62,42 @@ def test_gen_field_roundtrip(tmp_path):
     nx, ny, field = read_field(out)
     assert (nx, ny) == (20, 20)
     assert field.contrast == 100.0
+
+
+def test_field_file_solves_as_its_preset(tmp_path, capsys):
+    # gen-field writes every value exactly (%.17g), so a solve reading the
+    # file prints and writes what the same solve on the preset does; the
+    # contrast needs all 17 digits
+    preset = {"preset": "channels", "eta": 1e3 / 3}
+    path = tmp_path / "field.txt"
+    gen = _cfg(tmp_path, {"fine": 20, "field": preset}, "gen.json")
+    assert main(["--config", gen, "--out", str(path), "gen-field"]) == 0
+    capsys.readouterr()
+    printed, written = [], []
+    for name, field in (("preset", preset), ("file", {"file": str(path)})):
+        cfg = _cfg(tmp_path, {"fine": 20, "coarse": 4, "field": field,
+                              "count": 3}, f"{name}.json")
+        out = tmp_path / f"u_{name}.txt"
+        assert main(["--config", cfg, "--out", str(out), "solve"]) == 0
+        printed.append(capsys.readouterr().out.replace(str(out), "OUT"))
+        written.append(out.read_bytes())
+    assert printed[0] == printed[1] and "coarse dim" in printed[0]
+    assert written[0] == written[1]
+
+
+def test_numerical_failure_exits_3_with_one_line(tmp_path, capsys, monkeypatch):
+    def failing(*args, **kwargs):
+        raise NumericalError("region 6: a+s is not positive definite")
+
+    monkeypatch.setattr(cli, "offline_spaces", failing)
+    cfg = _cfg(tmp_path, {"fine": 20, "coarse": 4,
+                          "field": {"preset": "channels", "eta": 1e3},
+                          "count": 3})
+    assert main(["--config", cfg, "solve"]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == ("numerical failure: region 6: a+s is not "
+                            "positive definite\n")
+    assert captured.out == ""
 
 
 def test_gen_field_requires_out(tmp_path):

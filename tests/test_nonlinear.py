@@ -16,6 +16,7 @@ from gmsfem.nonlinear import (NonlinearCoefficient, block_averages,
                               build_nonlinear_offline, cellwise_parameter,
                               node_averages, picard_solve)
 from gmsfem.pou import multiscale_pou
+from gmsfem.solvers import NumericalError
 from gmsfem.spaces import truncate
 from gmsfem.studies import fine_picard_reference
 from test_spaces import assert_same_eigenvalues
@@ -229,3 +230,32 @@ def test_clamp_warns_when_samples_too_narrow(setup):
         picard_solve(coarse, nl, 1.0, BC, pou, samples,
                      build_nonlinear_offline(coarse, nl, samples, 3, 3),
                      max_it=2)
+
+
+def test_picard_stops_unconverged_at_max_it(setup):
+    fine, coarse, nl = setup
+    samples = np.linspace(0.0, 2.5, 4)
+    pou = multiscale_pou(coarse, nl.at_value(1.25))
+    offline = build_nonlinear_offline(coarse, nl, samples, 4, 4)
+    state = picard_solve(coarse, nl, 1.0, BC, pou, samples, offline, max_it=2)
+    assert not state.converged
+    assert state.iterations == 2 and len(state.updates) == 2
+    assert state.updates[-1] > 1e-6
+
+
+def test_picard_raises_on_three_growing_updates(setup, monkeypatch):
+    # iterates a * v with v in [0.5, 1] stay inside the sampled range (no
+    # clamp) while their relative updates grow: 0.05, 0.12, 0.31, 1.6
+    fine, coarse, nl = setup
+    samples = np.linspace(0.0, 2.5, 4)
+    pou = multiscale_pou(coarse, nl.at_value(1.25))
+    offline = build_nonlinear_offline(coarse, nl, samples, 4, 4)
+    v = 0.5 + 0.5 * fine.node_coords[:, 0]
+    iterates = iter([a * v for a in (2.0, 1.9, 1.7, 1.3, 0.5)])
+    monkeypatch.setattr(nonlinear, "solve_coarse_galerkin",
+                        lambda *args: next(iterates))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no clamp either
+        with pytest.raises(NumericalError, match="Picard iteration diverging"):
+            picard_solve(coarse, nl, 1.0, BC, pou, samples, offline)
+    assert next(iterates, None) is None  # it stopped at the fourth update
