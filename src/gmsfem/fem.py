@@ -30,16 +30,20 @@ class BoundaryCondition:
 
 
 def _triangle_geometry(mesh: FineMesh, tris: np.ndarray):
-    """Edge coefficients b, c and areas of the given triangles.
+    """Edge coefficients b, c and areas of the given triangles, gathered from
+    those of every triangle, computed once per mesh (elementwise, so with
+    the bits of a pass over the given triangles alone).
 
     grad(phi_k) = (b_k, c_k) / (2A) on each triangle.
     """
-    p = mesh.node_coords[mesh.triangles[tris]]  # (T, 3, 2)
-    x, y = p[:, :, 0], p[:, :, 1]
-    b = np.stack([y[:, 1] - y[:, 2], y[:, 2] - y[:, 0], y[:, 0] - y[:, 1]], axis=1)
-    c = np.stack([x[:, 2] - x[:, 1], x[:, 0] - x[:, 2], x[:, 1] - x[:, 0]], axis=1)
-    area = 0.5 * (x[:, 0] * b[:, 0] + x[:, 1] * b[:, 1] + x[:, 2] * b[:, 2])
-    return b, c, area
+    if "geometry" not in mesh.cache:
+        p = mesh.node_coords[mesh.triangles]  # (T, 3, 2)
+        x, y = p[:, :, 0], p[:, :, 1]
+        b = np.stack([y[:, 1] - y[:, 2], y[:, 2] - y[:, 0], y[:, 0] - y[:, 1]], axis=1)
+        c = np.stack([x[:, 2] - x[:, 1], x[:, 0] - x[:, 2], x[:, 1] - x[:, 0]], axis=1)
+        area = 0.5 * (x[:, 0] * b[:, 0] + x[:, 1] * b[:, 1] + x[:, 2] * b[:, 2])
+        mesh.cache["geometry"] = (b, c, area)
+    return tuple(g[tris] for g in mesh.cache["geometry"])
 
 
 def _cells_to_triangles(cells: np.ndarray) -> np.ndarray:
@@ -54,20 +58,40 @@ def _triangles(mesh: FineMesh, region) -> np.ndarray:
             else _cells_to_triangles(region.cells))
 
 
+def _pattern(mesh, tris, box):
+    """CSR indices and indptr of a cell box of this shape, with perm and slot:
+    the element terms (flat index into the (T, 3, 3) matrices) in the order
+    scipy's COO->CSR sums them, and the entry each one goes to.  Every box of
+    one shape has the same connectivity in box_position numbering, so the
+    pattern is built once per shape and kept in mesh.cache."""
+    shape = (box[1] - box[0], box[3] - box[2])
+    if shape not in mesh.cache:
+        conn = mesh.box_position(box, mesh.triangles[tris]).astype(np.int32)
+        n = (shape[0] + 1) * (shape[1] + 1)
+        rows = np.repeat(conn, 3, axis=1).ravel()
+        # coo_tocsr buckets rows stably and sort_indices orders each row by
+        # column alone, so term ids as data come out in scipy's summing order
+        ids = np.argsort(rows, kind="stable").astype(np.int32)
+        r = rows[ids]
+        m = sp.csr_matrix((ids, np.tile(conn, (1, 3)).ravel()[ids],
+                           np.searchsorted(r, np.arange(n + 1, dtype=np.int32))), shape=(n, n))
+        m.sort_indices()
+        new = np.r_[True, (np.diff(r) != 0) | (np.diff(m.indices) != 0)]
+        indptr = np.searchsorted(r[new], np.arange(n + 1, dtype=np.int32)).astype(np.int32)
+        mesh.cache[shape] = (m.indices[new], indptr, m.data, np.cumsum(new, dtype=np.int32) - 1)
+    return mesh.cache[shape]
+
+
 def _assemble(mesh, tris, local_mats, region):
-    """Scatter (T, 3, 3) element matrices into CSR, whose conversion sums
-    them; with a region, rows and columns are its node box
-    (FineMesh.box_position)."""
-    conn = mesh.triangles[tris]
-    if region is None:
-        n = mesh.n_nodes
-    else:
-        conn = mesh.box_position(region.cell_box, conn)
-        n = region.n_nodes
-    rows = np.repeat(conn, 3, axis=1).ravel()
-    cols = np.tile(conn, (1, 3)).ravel()
-    data = local_mats.reshape(len(tris), 9).ravel()
-    return sp.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
+    """Sum (T, 3, 3) element matrices into CSR; with a region, rows and
+    columns are its node box (FineMesh.box_position).  bincount adds each
+    entry's terms left to right in scipy's COO->CSR order, so data, indices
+    and indptr are the bits of coo_matrix(...).tocsr().  The index arrays
+    are copies, so no edit of the result reaches the cached pattern."""
+    box = (0, mesh.nx, 0, mesh.ny) if region is None else region.cell_box
+    indices, indptr, perm, slot = _pattern(mesh, tris, box)
+    data = np.bincount(slot, weights=local_mats.reshape(-1)[perm], minlength=len(indices))
+    return sp.csr_matrix((data, indices.copy(), indptr.copy()), shape=(len(indptr) - 1,) * 2)
 
 
 def assemble_stiffness(mesh: FineMesh, kappa: CoefficientField,
@@ -149,9 +173,8 @@ def assemble_load(mesh: FineMesh, f) -> np.ndarray:
     else:
         raise ValueError("f must be scalar or per-cell")
     contrib = (fv * area / 3.0)
-    b = np.zeros(mesh.n_nodes)
-    np.add.at(b, mesh.triangles.ravel(), np.repeat(contrib, 3))
-    return b
+    return np.bincount(mesh.triangles.ravel(), weights=np.repeat(contrib, 3),
+                       minlength=mesh.n_nodes)
 
 
 def free_nodes(mesh: FineMesh) -> np.ndarray:

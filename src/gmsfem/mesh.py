@@ -9,7 +9,7 @@ every index set is computed from box arithmetic and is bit-reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,6 +28,8 @@ class FineMesh:
     node_coords: np.ndarray  # ((nx+1)(ny+1), 2)
     triangles: np.ndarray    # (2*nx*ny, 3), cell c owns triangles 2c, 2c+1
     boundary_nodes: np.ndarray
+    # fem's triangle geometry and CSR pattern per cell-box shape, built on first use
+    cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def n_nodes(self) -> int:

@@ -69,7 +69,8 @@ def harmonic_snapshots(mesh: FineMesh, region: LocalRegion,
         raise ValueError("need at least one coefficient sample")
     bnd = region.local_index(mesh, region.boundary_nodes)
     inner = region.local_index(mesh, mesh.interior_nodes_of_cell_box(*region.cell_box))
-    unit = sp.identity(region.n_nodes, format="csc")[:, bnd].toarray()
+    unit = np.zeros((region.n_nodes, len(bnd)))
+    unit[bnd, np.arange(len(bnd))] = 1.0
     cols = [harmonic_extension(assemble_stiffness(mesh, kappa, region=region),
                                [inner], unit) for kappa in kappa_samples]
     return SnapshotSpace(region=region, columns=np.hstack(cols), kind="harmonic")

@@ -4,9 +4,14 @@ With cellwise-constant coefficients every element integral is exact, so
 linear and quadratic test functions give machine-precision oracles.
 """
 
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+from gmsfem import fem
 from gmsfem.coeff import CoefficientField
 from gmsfem.fem import (BoundaryCondition, assemble_load, assemble_mass,
                         assemble_stiffness, free_nodes, norms,
@@ -14,6 +19,8 @@ from gmsfem.fem import (BoundaryCondition, assemble_load, assemble_mass,
 from gmsfem.coupling import solve_fine
 from gmsfem.fields import channels_and_inclusions
 from gmsfem.mesh import LocalRegion, build_coarse_mesh, build_fine_mesh
+from gmsfem.pou import multiscale_pou
+from gmsfem.spaces import A_FORMS, assemble_a_form, offline_spaces
 
 
 def _linear(mesh, fx, fy, c=0.0):
@@ -115,6 +122,112 @@ def test_region_assembly_is_the_global_matrix_at_interior_rows(box):
                               whole[rows][:, region.nodes].toarray())
     A = assemble_stiffness(fine, kappa, region=region)
     assert np.abs(A @ np.ones(region.n_nodes)).max() <= 1e-12 * np.abs(A).max()
+
+
+def coo_assembly(mesh, tris, local_mats, region):
+    """The scatter that fem._assemble replaces: COO triplets of the element
+    matrices, summed by scipy's COO->CSR conversion."""
+    conn = mesh.triangles[tris]
+    n = mesh.n_nodes
+    if region is not None:
+        conn = mesh.box_position(region.cell_box, conn)
+        n = region.n_nodes
+    rows = np.repeat(conn, 3, axis=1).ravel()
+    cols = np.tile(conn, (1, 3)).ravel()
+    return sp.coo_matrix((local_mats.reshape(-1), (rows, cols)), shape=(n, n)).tocsr()
+
+
+def same_bits(a, b) -> bool:
+    """Equal structure, index dtypes and data bits, the sign of a zero too."""
+    return (a.shape == b.shape and a.indptr.dtype == b.indptr.dtype
+            and a.indices.dtype == b.indices.dtype
+            and np.array_equal(a.indptr, b.indptr)
+            and np.array_equal(a.indices, b.indices)
+            and np.array_equal(a.data.view(np.int64), b.data.view(np.int64)))
+
+
+@pytest.mark.parametrize("fine_n, coarse_n", [(20, 4), (30, 3), (60, 6)])
+def test_pattern_assembly_is_the_coo_scatter_bit_for_bit(fine_n, coarse_n, monkeypatch):
+    # every assembly below, the padded boxes of the pou_stiffness form
+    # included, is checked against the COO->CSR scatter of the same terms
+    fine = build_fine_mesh(fine_n, fine_n)
+    coarse = build_coarse_mesh(fine, coarse_n, coarse_n)
+    kappa = channels_and_inclusions(fine, 1e6)
+    rng = np.random.default_rng(fine_n)
+    tensor = CoefficientField(np.column_stack([kappa.k11(),
+                                               rng.uniform(1.0, 1e3, fine.n_cells)]))
+    pou = multiscale_pou(coarse, kappa)
+    checked, pattern = [], fem._assemble
+
+    def spy(mesh, tris, local_mats, region):
+        got = pattern(mesh, tris, local_mats, region)
+        checked.append((None if region is None else region.cell_box,
+                        same_bits(got, coo_assembly(mesh, tris, local_mats, region))))
+        return got
+
+    monkeypatch.setattr(fem, "_assemble", spy)
+    for region in [None] + coarse.neighborhoods:
+        n_tris = 2 * (fine.n_cells if region is None else len(region.cells))
+        assemble_stiffness(fine, kappa, region=region)
+        assemble_stiffness(fine, tensor, region=region)
+        assemble_mass(fine, weight=kappa, region=region)
+        assemble_mass(fine, region=region)
+        assemble_mass(fine, region=region, triangle_weight=rng.uniform(0.0, 1.0, n_tris))
+        if region is not None:
+            for a_form in A_FORMS:
+                assemble_a_form(fine, region, kappa, a_form, pou)
+    assert [box for box, ok in checked if not ok] == []
+    boxes = {box for box, _ in checked}
+    padded = {(max(x0 - 1, 0), min(x1 + 1, fine_n), max(y0 - 1, 0), min(y1 + 1, fine_n))
+              for x0, x1, y0, y1 in (nb.cell_box for nb in coarse.neighborhoods)}
+    assert boxes == {None} | {nb.cell_box for nb in coarse.neighborhoods} | padded
+
+
+def test_offline_spaces_cache_one_pattern_per_box_shape():
+    fine = build_fine_mesh(24, 24)
+    coarse = build_coarse_mesh(fine, 4, 4)
+    kappa = channels_and_inclusions(fine, 1e4)
+    pou = multiscale_pou(coarse, kappa)
+    offline_spaces(coarse, kappa, pou=pou, count=3)
+    shapes = {(x1 - x0, y1 - y0) for x0, x1, y0, y1 in
+              (nb.cell_box for nb in coarse.neighborhoods)}
+    assert len(shapes) == 4
+    # the global stiffness of multiscale_pou has the grid's own shape
+    assert set(fine.cache) == shapes | {(24, 24), "geometry"}
+
+
+def test_threads_on_a_fresh_mesh_assemble_the_serial_bits():
+    # concurrent first use may build a pattern twice, each one whole
+    def forms(mesh, kappa, region):
+        return (assemble_stiffness(mesh, kappa, region=region),
+                assemble_mass(mesh, weight=kappa, region=region))
+
+    meshes = [build_fine_mesh(20, 20) for _ in range(2)]
+    coarses = [build_coarse_mesh(m, 4, 4) for m in meshes]
+    kappa = channels_and_inclusions(meshes[0], 1e5)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(8) as pool:
+            threaded = list(pool.map(lambda nb: forms(meshes[0], kappa, nb),
+                                     coarses[0].neighborhoods, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    serial = [forms(meshes[1], kappa, nb) for nb in coarses[1].neighborhoods]
+    assert len(threaded) == 25
+    assert all(same_bits(a, b) for pair in zip(threaded, serial) for a, b in zip(*pair))
+    assert set(meshes[0].cache) == set(meshes[1].cache)
+
+
+def test_load_vector_is_the_add_at_sum_bit_for_bit():
+    fine = build_fine_mesh(30, 30)
+    kappa = channels_and_inclusions(fine, 1e4)
+    _, _, area = fem._triangle_geometry(fine, np.arange(2 * fine.n_cells))
+    for f, per_tri in ((0.7, np.full(2 * fine.n_cells, 0.7)),
+                       (kappa.values, np.repeat(kappa.values, 2))):
+        want = np.zeros(fine.n_nodes)
+        np.add.at(want, fine.triangles.ravel(), np.repeat(per_tri * area / 3.0, 3))
+        assert np.array_equal(assemble_load(fine, f).view(np.int64), want.view(np.int64))
 
 
 def test_load_vector():
