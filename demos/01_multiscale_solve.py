@@ -5,8 +5,6 @@ fine-grid snapshots, and compares the coarse Galerkin solution against
 the fine direct solve.
 """
 
-import numpy as np
-
 from gmsfem import (BoundaryCondition, assemble_load, assemble_stiffness,
                     build_coarse_basis, build_coarse_mesh, build_fine_mesh,
                     multiscale_pou, offline_spaces, relative_errors,

@@ -9,9 +9,9 @@ import time
 
 import numpy as np
 
-from gmsfem import (BoundaryCondition, assemble_load, build_affine_operator,
-                    build_coarse_basis, build_coarse_mesh, build_fine_mesh,
-                    evaluate, multiscale_pou, offline_spaces)
+from gmsfem import (assemble_load, build_affine_operator, build_coarse_basis,
+                    build_coarse_mesh, build_fine_mesh, evaluate,
+                    multiscale_pou, offline_spaces)
 from gmsfem.fem import free_nodes
 from gmsfem.fields import affine_four_term
 from gmsfem.solvers import galerkin_factor

@@ -225,7 +225,7 @@ def cmd_mesh_info(cfg: dict, args) -> int:
     print(f"fine grid: {fine.nx}x{fine.ny}, {fine.n_nodes} nodes, "
           f"{2 * fine.n_cells} triangles")
     print(f"coarse grid: {coarse.Nx}x{coarse.Ny}, {coarse.N_v} nodes "
-          f"({len(coarse.interior_coarse_nodes)} interior), "
+          f"({(coarse.Nx - 1) * (coarse.Ny - 1)} interior), "
           f"block {coarse.mx}x{coarse.my} cells")
     return 0
 

@@ -28,13 +28,11 @@ class CoarseBasis:
     """Global conforming coarse basis chi_i * psi_ij as fine-grid columns.
 
     Rows at Dirichlet boundary nodes are zero, so every column conforms to
-    homogeneous boundary data; inhomogeneous data enters through a lift.
+    homogeneous boundary data; the fine lift of reduce_dirichlet carries it.
     """
 
-    coarse: CoarseMesh
     P: sp.csr_matrix          # (n_fine_nodes, dim)
     spaces: dict              # coarse_node -> ReducedSpace
-    pou: object = None
 
     @property
     def dim(self) -> int:
@@ -54,8 +52,9 @@ class CoarseBasis:
 def build_coarse_basis(coarse: CoarseMesh, pou, spaces: dict) -> CoarseBasis:
     """Multiply each node's reduced basis by its POU function.
 
-    spaces maps coarse node ids (normally the interior ones) to a
-    ReducedSpace on that node's neighborhood.
+    spaces maps coarse node ids to a ReducedSpace on that node's
+    neighborhood; every caller gives every coarse node one.  A dict that
+    leaves nodes out is accepted, and the basis spans only the nodes it has.
     """
     fine = coarse.fine
     bnd_mask = np.zeros(fine.n_nodes, dtype=bool)
@@ -78,40 +77,19 @@ def build_coarse_basis(coarse: CoarseMesh, pou, spaces: dict) -> CoarseBasis:
         (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
         shape=(fine.n_nodes, col),
     ).tocsr()
-    return CoarseBasis(coarse=coarse, P=P, spaces=spaces, pou=pou)
-
-
-def coarse_dirichlet_lift(basis: CoarseBasis, bc: BoundaryCondition) -> np.ndarray:
-    """Boundary data carried by the coarse-boundary POU functions.
-
-    Coarse nodes without a reduced space (the ones on the coarse-grid
-    boundary) get their POU function scaled by the boundary value at that
-    node; fine boundary nodes are then overwritten with the exact data, so
-    the lift conforms and covers the strip the interior spaces miss.
-    """
-    coarse = basis.coarse
-    fine = coarse.fine
-    lift = np.zeros(fine.n_nodes)
-    g = bc.values(fine, coarse.coarse_node_fine_ids)
-    for i in range(coarse.N_v):
-        if i not in basis.spaces:
-            lift[coarse.neighborhoods[i].nodes] += g[i] * basis.pou.local[i]
-    lift[fine.boundary_nodes] = bc.values(fine, fine.boundary_nodes)
-    return lift
+    return CoarseBasis(P=P, spaces=spaces)
 
 
 def solve_coarse_galerkin(mesh: FineMesh, A: sp.csr_matrix, b: np.ndarray,
                           bc: BoundaryCondition, basis: CoarseBasis) -> np.ndarray:
     """Galerkin projection of the fine system onto the coarse basis.
 
-    Boundary data is carried by the coarse POU lift, so the coarse space
-    only has to correct the interior.  Returns the fine-grid solution,
-    lift included.
+    Boundary data is carried by the fine lift of reduce_dirichlet (bc at
+    the fine boundary nodes, zero elsewhere) and the coarse space corrects
+    the free nodes in its own span, whichever coarse nodes it covers.
+    Returns the fine-grid solution, lift included.
     """
-    fr = free_nodes(mesh)
-    u = coarse_dirichlet_lift(basis, bc)
-    A_ff = A[fr][:, fr].tocsr()
-    b_f = (b - A @ u)[fr]
+    A_ff, b_f, fr, u = reduce_dirichlet(A, b, mesh, bc)
     P_ff = basis.P[fr]
     if basis.dim <= len(fr):
         try:

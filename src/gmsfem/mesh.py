@@ -162,9 +162,7 @@ class CoarseMesh:
     Ny: int
     mx: int  # fine cells per block in x
     my: int
-    coarse_node_fine_ids: np.ndarray  # fine node id of each coarse node
     neighborhoods: list
-    interior_coarse_nodes: np.ndarray
 
     @property
     def N_v(self) -> int:
@@ -213,24 +211,13 @@ def build_coarse_mesh(fine: FineMesh, Nx: int, Ny: int) -> CoarseMesh:
             f"coarse grid {Nx}x{Ny} does not divide fine grid {fine.nx}x{fine.ny}"
         )
     mx, my = fine.nx // Nx, fine.ny // Ny
-
-    II, JJ = np.meshgrid(np.arange(Nx + 1), np.arange(Ny + 1), indexing="xy")
-    cn_fine = (JJ.ravel() * my) * (fine.nx + 1) + II.ravel() * mx
-
-    cm = CoarseMesh(
-        fine=fine, Nx=Nx, Ny=Ny, mx=mx, my=my,
-        coarse_node_fine_ids=cn_fine, neighborhoods=[],
-        interior_coarse_nodes=np.empty(0, dtype=np.int64),
-    )
+    cm = CoarseMesh(fine=fine, Nx=Nx, Ny=Ny, mx=mx, my=my, neighborhoods=[])
     nbhs = []
     for i in range(cm.N_v):
         I, J = cm.coarse_node_ij(i)
         box = _neighborhood_box(cm, I, J)
         nbhs.append(LocalRegion.from_cell_box(fine, box, label=i))
     cm.neighborhoods = nbhs
-    interior = [cm.coarse_node_id(I, J)
-                for J in range(1, Ny) for I in range(1, Nx)]
-    cm.interior_coarse_nodes = np.asarray(interior, dtype=np.int64)
     return cm
 
 

@@ -25,7 +25,6 @@ class PartitionOfUnity:
     every other fine node, and the functions sum to one at every node.
     """
 
-    kind: str
     coarse: CoarseMesh
     local: list  # local[i] aligned with coarse.neighborhoods[i].nodes
 
@@ -53,7 +52,7 @@ def _normalized(kind: str, coarse: CoarseMesh, local: list) -> PartitionOfUnity:
     if np.any(s <= 0.0):
         raise NumericalError(f"{kind} POU sum vanishes at a fine node")
     local = [v / s[nb.nodes] for nb, v in zip(coarse.neighborhoods, local)]
-    return PartitionOfUnity(kind=kind, coarse=coarse, local=local)
+    return PartitionOfUnity(coarse=coarse, local=local)
 
 
 def bilinear_pou(coarse: CoarseMesh) -> PartitionOfUnity:

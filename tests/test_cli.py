@@ -46,7 +46,7 @@ def test_mesh_info(tmp_path, capsys):
     assert main(["--config", cfg, "mesh-info"]) == 0
     out = capsys.readouterr().out
     assert "fine grid: 20x20" in out
-    assert "coarse grid: 4x4" in out
+    assert "coarse grid: 4x4, 25 nodes (9 interior)" in out
 
 
 def test_indivisible_coarse_grid(tmp_path):

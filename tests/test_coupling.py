@@ -7,13 +7,14 @@ import pytest
 
 from gmsfem.coeff import evaluate
 from gmsfem.coupling import (_solve_compressed, build_affine_operator,
-                             build_coarse_basis, coarse_dirichlet_lift,
-                             solve_coarse_galerkin, solve_fine)
+                             build_coarse_basis, solve_coarse_galerkin,
+                             solve_fine)
 from gmsfem.fem import (BoundaryCondition, assemble_load, assemble_stiffness,
-                        free_nodes, relative_errors)
+                        free_nodes, reduce_dirichlet, relative_errors)
 from gmsfem.fields import affine_four_term, channels_and_inclusions
 from gmsfem.mesh import build_coarse_mesh, build_fine_mesh
 from gmsfem.pou import multiscale_pou
+from gmsfem.solvers import galerkin_factor
 from gmsfem.spaces import offline_spaces
 
 BC = BoundaryCondition(lambda x, y: x + y)
@@ -49,13 +50,25 @@ def test_empty_basis_raises(setup):
         build_coarse_basis(coarse, pou, {})
 
 
-def test_lift_matches_boundary_data(setup):
+def test_coarse_solve_is_reduce_dirichlet_then_galerkin(setup):
+    # the fine lift of reduce_dirichlet carries the boundary data, whether
+    # the spaces cover every coarse node or only the interior ones
     fine, coarse, kappa, pou = setup
+    A = assemble_stiffness(fine, kappa)
+    b = assemble_load(fine, 1.0)
     spaces = offline_spaces(coarse, kappa, pou=pou, count=2)
-    basis = build_coarse_basis(coarse, pou, spaces)
-    lift = coarse_dirichlet_lift(basis, BC)
-    want = BC.values(fine, fine.boundary_nodes)
-    assert np.abs(lift[fine.boundary_nodes] - want).max() < 1e-14
+    interior = {i: spaces[i] for i in (coarse.coarse_node_id(I, J)
+                for J in range(1, coarse.Ny) for I in range(1, coarse.Nx))}
+    for subset in (spaces, interior):
+        basis = build_coarse_basis(coarse, pou, subset)
+        u = solve_coarse_galerkin(fine, A, b, BC, basis)
+        A_ff, b_f, fr, want = reduce_dirichlet(A, b, fine, BC)
+        P_ff = basis.P[fr]
+        factor = galerkin_factor(P_ff.T @ (A_ff @ P_ff))
+        want[fr] += P_ff @ factor.solve(P_ff.T @ b_f)
+        assert np.array_equal(u, want), len(subset)
+        bnd = fine.boundary_nodes
+        assert np.array_equal(u[bnd], BC.values(fine, bnd)), len(subset)
 
 
 def test_full_retention_reproduces_fine_solution(setup):
@@ -87,9 +100,8 @@ def test_dependent_basis_takes_the_qr_path():
     b = assemble_load(fine, 1.0)
     with pytest.warns(RuntimeWarning, match="coarse basis is rank deficient"):
         u = solve_coarse_galerkin(fine, A, b, BC, basis)
-    want = coarse_dirichlet_lift(basis, BC)
-    b_f = (b - A @ want)[fr]
-    want[fr] += _solve_compressed(basis.P[fr].toarray(), A[fr][:, fr].tocsr(), b_f)
+    A_ff, b_f, _, want = reduce_dirichlet(A, b, fine, BC)
+    want[fr] += _solve_compressed(basis.P[fr].toarray(), A_ff, b_f)
     assert np.array_equal(u, want)
 
 

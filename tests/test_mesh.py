@@ -74,11 +74,13 @@ def test_coarse_mesh_structure():
     assert cm.N_v == 25
     assert cm.n_blocks == 16
     assert len(cm.neighborhoods) == 25
-    assert len(cm.interior_coarse_nodes) == 9
-    # coarse node fine ids sit on the block corners
+    # coarse node (I, J) sits on the block corner (I mx, J my)
     i = cm.coarse_node_id(2, 3)
-    assert cm.coarse_node_fine_ids[i] == 9 * (fine.nx + 1) + 6
-    assert cm.coarse_node_ij(i) == (2, 3)
+    I, J = cm.coarse_node_ij(i)
+    assert (I, J) == (2, 3)
+    corner = J * cm.my * (fine.nx + 1) + I * cm.mx
+    assert corner == 9 * (fine.nx + 1) + 6
+    assert corner in cm.neighborhoods[i].nodes
 
 
 def test_coarse_mesh_divisibility():

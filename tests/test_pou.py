@@ -40,7 +40,6 @@ def test_partition_identity(setup):
     fine, coarse, kappa = setup
     for name, pou in _all_pous(coarse, kappa).items():
         assert pou.sum_defect() <= 1e-12, name
-        assert pou.kind == name
 
 
 def test_support_contained_in_neighborhood(setup):
@@ -55,7 +54,9 @@ def test_support_contained_in_neighborhood(setup):
 def test_bilinear_is_nodal(setup):
     fine, coarse, kappa = setup
     pou = bilinear_pou(coarse)
-    fid = coarse.coarse_node_fine_ids
+    # each coarse node's fine id: its block corner
+    fid = [J * coarse.my * (fine.nx + 1) + I * coarse.mx
+           for I, J in map(coarse.coarse_node_ij, range(coarse.N_v))]
     vals = dense_chi(pou)[np.arange(coarse.N_v), fid]
     assert np.allclose(vals, 1.0, atol=1e-14)
 
