@@ -286,7 +286,7 @@ def cmd_online(cfg: dict, args) -> int:
     forms = local_forms(fine, kappa, a_form, pou)
     dims = parallel_map(
         lambda off: build_online(off, *forms(off.region),
-                                 count=min(cfg["online_count"], off.dim)).dim,
+                                 count=cfg["online_count"]).dim,
         offline.values(), args.workers)
     print(f"online spaces: {len(dims)} neighborhoods, total dim {sum(dims)}")
     return 0

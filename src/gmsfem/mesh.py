@@ -118,24 +118,23 @@ def build_fine_mesh(nx: int, ny: int) -> FineMesh:
 class LocalRegion:
     """A box of fine cells with its node sets, the unit of local assembly.
 
-    Every coarse neighborhood omega_i is one (label i); from_cell_box is the
-    only constructor.
+    Every coarse neighborhood omega_i is one, named by its cell box;
+    from_cell_box is the only constructor.
     """
 
     cell_box: tuple      # (cx0, cx1, cy0, cy1) fine-cell half-open box
     cells: np.ndarray
     nodes: np.ndarray    # the closed node box, ascending
     boundary_nodes: np.ndarray  # nodes on the box boundary
-    label: int = -1
 
     @classmethod
-    def from_cell_box(cls, mesh: FineMesh, box: tuple, label: int = -1):
+    def from_cell_box(cls, mesh: FineMesh, box: tuple):
         cx0, cx1, cy0, cy1 = box
         nodes = mesh.nodes_in_cell_box(*box)
         i, j = nodes % (mesh.nx + 1), nodes // (mesh.nx + 1)
         on = (i == cx0) | (i == cx1) | (j == cy0) | (j == cy1)
         return cls(cell_box=box, cells=mesh.cells_in_box(*box), nodes=nodes,
-                   boundary_nodes=nodes[on], label=label)
+                   boundary_nodes=nodes[on])
 
     @classmethod
     def from_neighborhood(cls, nb):
@@ -216,7 +215,7 @@ def build_coarse_mesh(fine: FineMesh, Nx: int, Ny: int) -> CoarseMesh:
     for i in range(cm.N_v):
         I, J = cm.coarse_node_ij(i)
         box = _neighborhood_box(cm, I, J)
-        nbhs.append(LocalRegion.from_cell_box(fine, box, label=i))
+        nbhs.append(LocalRegion.from_cell_box(fine, box))
     cm.neighborhoods = nbhs
     return cm
 

@@ -90,9 +90,10 @@ def energy_min_pou(coarse: CoarseMesh, kappa: CoefficientField) -> PartitionOfUn
 
     Stationarity of the Lagrangian gives chi_i = A_i^{-1} R_i p with the
     multiplier p solving (sum_i R_i' A_i^{-1} R_i) p = 1; that system is
-    solved by CG, preconditioned with the global stiffness-plus-mass
-    operator (the sum acts like an inverse stiffness).  All A_i share one
-    factor from solvers.block_factor, which names a singular neighborhood.
+    solved by CG, preconditioned with the global stiffness plus the mass
+    weighted by k11 (the sum acts like an inverse stiffness).  All A_i
+    share one factor from solvers.block_factor, which names a singular
+    neighborhood.
     """
     fine = coarse.fine
     A = assemble_stiffness(fine, kappa)
@@ -103,7 +104,7 @@ def energy_min_pou(coarse: CoarseMesh, kappa: CoefficientField) -> PartitionOfUn
         raise NumericalError("a fine node is free in no neighborhood")
     factor, R = block_factor(A, free_sets, "neighborhood")
     R_t = R.T.tocsr()
-    B = (A + assemble_mass(fine, weight=kappa)).tocsr()
+    B = (A + assemble_mass(fine, weight=kappa.k11())).tocsr()
     p, report = pcg(lambda v: R_t @ factor.solve(R @ v), np.ones(n),
                     M_inv=lambda v: B @ v, tol=MULTIPLIER_TOL, max_it=10 * n)
     if not report.converged:

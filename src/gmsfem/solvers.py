@@ -125,7 +125,7 @@ def full_gen_eig(A, S, n=None):
     A-null pairs (mu >= 1) get lambda = 0 and keep their (A+S)-normalized
     columns.  Returns eigenvalues in non-increasing order (inf modes first)
     and the eigenvectors as columns.  This is the kernel of every local
-    spectral problem of the library (spaces._reduce and the dense branch
+    spectral problem of the library (spaces.build_offline and the dense branch
     of spaces.spectral_snapshots).
     """
     if A.shape != S.shape or A.shape[0] != A.shape[1]:

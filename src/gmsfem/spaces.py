@@ -1,19 +1,20 @@
 """Per-neighborhood snapshot, offline and online spaces.
 
-Snapshot columns are fine-grid vectors on a local region; the offline and
-online stages each project the local forms onto their columns and keep
-the dominant eigenvectors of the projected pencil, all through one
-reduction (_reduce) on one kernel (solvers.full_gen_eig).  Fine-grid
-snapshots are the sparse identity, so their pencil is the local pencil
-itself; the other kinds' columns can be dependent and are whitened first,
-and drop_tol applies only to them.  offline_spaces is the one offline
-pipeline: snapshots -> forms -> build_offline per coarse node.
+Snapshot columns are fine-grid vectors on a local region; build_offline
+projects the local forms onto them and keeps the dominant eigenvectors of
+the projected pencil on one kernel (solvers.full_gen_eig).  The online
+stage is the same reduction with the offline basis as its snapshots.
+Fine-grid snapshots are the identity (columns None, never built), so
+their pencil is the local pencil itself; other columns can be dependent
+and are whitened first, and drop_tol applies only to them.  offline_spaces
+is the one offline pipeline: snapshots -> forms -> build_offline per
+coarse node.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as la
@@ -32,21 +33,19 @@ A_FORMS = ("pou_stiffness", "pou_grad_mass", "kappa_mass")
 @dataclass
 class SnapshotSpace:
     region: LocalRegion
-    columns: np.ndarray  # (n_local_nodes, M_snap); sparse for "fine-grid"
-    kind: str            # "fine-grid" means the columns are the identity
+    columns: np.ndarray | None  # (n_local_nodes, M_snap); None: the identity
 
     @property
     def M_snap(self) -> int:
-        return self.columns.shape[1]
+        return self.region.n_nodes if self.columns is None else self.columns.shape[1]
 
 
 @dataclass
 class ReducedSpace:
     region: LocalRegion
     columns: np.ndarray       # (n_local_nodes, L) selected eigenvectors
-    eigenvalues: np.ndarray   # the solved leading ones (_reduce), inf first
-    stage: str                # 'offline' | 'online'
-    selection: dict = field(default_factory=dict)
+    eigenvalues: np.ndarray   # the solved leading ones (build_offline), inf first
+    selection: dict           # "kept" and "dropped_snapshots"
 
     @property
     def dim(self) -> int:
@@ -73,14 +72,12 @@ def harmonic_snapshots(mesh: FineMesh, region: LocalRegion,
     unit[bnd, np.arange(len(bnd))] = 1.0
     cols = [harmonic_extension(assemble_stiffness(mesh, kappa, region=region),
                                [inner], unit) for kappa in kappa_samples]
-    return SnapshotSpace(region=region, columns=np.hstack(cols), kind="harmonic")
+    return SnapshotSpace(region=region, columns=np.hstack(cols))
 
 
 def fine_grid_snapshots(region: LocalRegion) -> SnapshotSpace:
-    """All fine nodal functions of the region (sparse identity injection)."""
-    return SnapshotSpace(region=region,
-                         columns=sp.identity(region.n_nodes, format="csr"),
-                         kind="fine-grid")
+    """All fine nodal functions of the region: the identity, never built."""
+    return SnapshotSpace(region=region, columns=None)
 
 
 def spectral_snapshots(A_t: sp.spmatrix, S_t: sp.spmatrix, count: int,
@@ -101,8 +98,8 @@ def spectral_snapshots(A_t: sp.spmatrix, S_t: sp.spmatrix, count: int,
         else:
             _, vecs = full_gen_eig(A_t, S_t)
     except NumericalError as exc:
-        raise NumericalError(f"region {region.label}: {exc}") from None
-    return SnapshotSpace(region=region, columns=vecs[:, :count], kind="local-spectral")
+        raise NumericalError(f"region {region.cell_box}: {exc}") from None
+    return SnapshotSpace(region=region, columns=vecs[:, :count])
 
 
 def assemble_a_form(mesh: FineMesh, region: LocalRegion, kappa: CoefficientField,
@@ -155,7 +152,7 @@ def _orthonormal_transform(G: np.ndarray, drop_tol: float):
     return V[:, keep] / np.sqrt(w[keep]), int((~keep).sum())
 
 
-def _select(lams: np.ndarray, count=None, threshold=None) -> int:
+def _select(lams: np.ndarray, count, threshold) -> int:
     n_inf = int(np.sum(np.isinf(lams)))
     if count is not None:
         return min(int(count), len(lams))
@@ -168,20 +165,25 @@ def _select(lams: np.ndarray, count=None, threshold=None) -> int:
     return len(lams)
 
 
-def _reduce(R, a_mat, s_mat, stage: str, region, count=None, threshold=None,
-            drop_tol=None) -> ReducedSpace:
-    """Project (a_mat, s_mat) onto the columns R (None: the identity, never
-    whitened), solve the projected pencil with solvers.full_gen_eig for its
-    count + 1 leading pairs (enough for lambda_star), or all of them without
-    a count, and keep those eigenvalues and the dominant eigenvectors.
+def build_offline(snap: SnapshotSpace, a_mat: sp.spmatrix, s_mat: sp.spmatrix,
+                  count=None, threshold=None, drop_tol: float = 1e-10) -> ReducedSpace:
+    """Project (a_mat, s_mat) onto the snapshot columns, solve the projected
+    pencil with solvers.full_gen_eig for its count + 1 leading pairs (enough
+    for lambda_star), or all of them without a count, and keep those
+    eigenvalues and the dominant, a-orthonormal eigenvectors.
 
-    With drop_tol the columns are first whitened in the combined (a+s)
-    inner product, dropping dependent ones.  An a+s that is not positive
-    definite, a kept column without an a-norm, or any other kernel
-    failure raises NumericalError naming the region.
+    Fine-grid snapshots are the identity, so the pencil is the local pencil
+    itself, with no product, and drop_tol is not used.  Other columns can be
+    dependent; with drop_tol they are first whitened in the combined (a+s)
+    inner product (drop_tol removes dependent columns), which keeps the
+    projected pencil well conditioned while preserving the s-null modes
+    whose eigenvalues are reported as inf.  An a+s that is not positive
+    definite, a kept column without an a-norm, or any other kernel failure
+    raises NumericalError naming the region by its cell box.
     """
     if count is not None and count < 1:
         raise ValueError(f"count must be >= 1, not {count}")
+    R, region = snap.columns, snap.region
     A, S, T, dropped = a_mat, s_mat, None, 0  # assembled forms: exactly symmetric
     if R is not None:
         R = np.ascontiguousarray(R)  # the bits of the products follow the layout
@@ -193,54 +195,33 @@ def _reduce(R, a_mat, s_mat, stage: str, region, count=None, threshold=None,
     try:
         lam, vecs = full_gen_eig(A, S, None if count is None else count + 1)
     except NumericalError as exc:
-        raise NumericalError(f"region {region.label}: {exc}") from None
-    L = _select(lam, count=count, threshold=threshold)
+        raise NumericalError(f"region {region.cell_box}: {exc}") from None
+    L = _select(lam, count, threshold)
     if L and lam[L - 1] == 0.0:
-        raise NumericalError(f"region {region.label}: a kept eigenvector has "
+        raise NumericalError(f"region {region.cell_box}: a kept eigenvector has "
                              "no a-norm")
-    sel = {"count": count, "threshold": threshold, "kept": L,
-           "dropped_snapshots": dropped}
     kept = vecs[:, :L] if T is None else T @ vecs[:, :L]
     # a copy, not a view that would keep every solved eigenvector alive
     return ReducedSpace(region=region, columns=kept.copy() if R is None else R @ kept,
-                        eigenvalues=lam, stage=stage, selection=sel)
-
-
-def build_offline(snap: SnapshotSpace, a_mat: sp.spmatrix, s_mat: sp.spmatrix,
-                  count=None, threshold=None, drop_tol: float = 1e-10) -> ReducedSpace:
-    """Project the forms onto the snapshots and keep dominant eigenvectors.
-
-    Kept columns are a-orthonormal.  Fine-grid snapshots are the identity,
-    so the pencil is the local pencil itself, with no product, and drop_tol
-    is not used.  The other kinds' columns can be dependent; they are first
-    whitened in the combined (a+s) inner product (drop_tol removes
-    dependent columns), which keeps the projected pencil well conditioned
-    while preserving the s-null modes whose eigenvalues are reported as inf.
-    """
-    space = _reduce(None if snap.kind == "fine-grid" else snap.columns, a_mat,
-                    s_mat, "offline", snap.region, count=count,
-                    threshold=threshold, drop_tol=drop_tol)
-    space.selection["snapshot_kind"] = snap.kind
-    return space
+                        eigenvalues=lam,
+                        selection={"kept": L, "dropped_snapshots": dropped})
 
 
 def build_online(off: ReducedSpace, a_mat: sp.spmatrix, s_mat: sp.spmatrix,
                  count=None) -> ReducedSpace:
-    """Same reduction, on the offline basis with mu-specific forms."""
-    if off.stage != "offline":
-        raise ValueError("online spaces are built from an offline space")
-    return _reduce(off.columns, a_mat, s_mat, "online", off.region,
-                   count=count, drop_tol=None)
+    """build_offline with the offline basis as the snapshots and mu-specific
+    forms; the basis has independent columns, so it is not whitened."""
+    return build_offline(SnapshotSpace(off.region, off.columns), a_mat, s_mat,
+                         count=count, drop_tol=None)
 
 
 def truncate(space: ReducedSpace, count: int) -> ReducedSpace:
-    """Keep only the first `count` eigenvectors (they are eigen-ordered)."""
-    if count > space.dim:
-        raise ValueError(f"cannot grow a space from {space.dim} to {count}")
+    """Keep only the first `count` eigenvectors (they are eigen-ordered), or
+    all of them if there are fewer."""
+    count = min(count, space.dim)
     sel = dict(space.selection, kept=count)
     return ReducedSpace(region=space.region, columns=space.columns[:, :count],
-                        eigenvalues=space.eigenvalues, stage=space.stage,
-                        selection=sel)
+                        eigenvalues=space.eigenvalues, selection=sel)
 
 
 # ---------------------------------------------------------------------------
@@ -273,8 +254,7 @@ def snapshot_space(mesh: FineMesh, region: LocalRegion, kind: str,
                                    assemble_s_form(mesh, region, f),
                                    snap_per_sample, region).columns
                 for f in samples]
-        return SnapshotSpace(region=region, columns=np.hstack(cols),
-                             kind="local-spectral")
+        return SnapshotSpace(region=region, columns=np.hstack(cols))
     raise ValueError(f"unknown snapshot kind {kind!r}")
 
 

@@ -71,7 +71,7 @@ def _pou_only_spaces(coarse) -> dict:
     for i, region in enumerate(coarse.neighborhoods):
         spaces[i] = ReducedSpace(
             region=region, columns=np.ones((region.n_nodes, 1)),
-            eigenvalues=np.array([np.inf]), stage="offline",
+            eigenvalues=np.array([np.inf]),
             selection={"kept": 1})
     return spaces
 
@@ -126,8 +126,7 @@ def _ladder(coarse, kappa, counts: dict, extra: int, snapshot_kind: str,
     b = assemble_load(fine, SOURCE)
     out = []
     for k in range(extra + 1):
-        spaces = {i: truncate(s, min(counts[i] + k, s.dim))
-                  for i, s in top.items()}
+        spaces = {i: truncate(s, counts[i] + k) for i, s in top.items()}
         basis = build_coarse_basis(coarse, pou, spaces)
         u = solve_coarse_galerkin(fine, A, b, BC_LINEAR, basis)
         out.append((basis, relative_errors(u, u_ref, A, M)))
@@ -158,8 +157,7 @@ def _precond_rows(coarse, field_at, etas, counts: dict, extra: int,
         full = offline_spaces(coarse, kappa, "fine", pou=pou,
                               count=max(counts.values()) + extra,
                               workers=workers)
-        spectral = {i: truncate(s, min(counts[i] + extra, s.dim))
-                    for i, s in full.items()}
+        spectral = {i: truncate(s, counts[i] + extra) for i, s in full.items()}
         for variant, spaces in (("pou", _pou_only_spaces(coarse)),
                                 ("spectral", spectral)):
             basis = build_coarse_basis(coarse, pou, spaces)
@@ -266,7 +264,7 @@ def run_parametric_study(fine_n: int = 100, coarse_n: int = 10,
                                  workers=workers)
         for k in range(extra_max + 1):
             L = base_count + k
-            spaces = {i: build_online(off, *star[i], count=min(L, off.dim))
+            spaces = {i: build_online(off, *star[i], count=L)
                       for i, off in offline.items()}
             basis = build_coarse_basis(coarse, pou, spaces)
             u = solve_coarse_galerkin(fine, A_k, b, BC_LINEAR, basis)
@@ -404,7 +402,7 @@ def run_eigendecay_study(fine_n: int = 40, inclusion_value: float = 100.0,
     rows = []
     for name, cols, a_mat, s_mat in pairs:
         snap = SnapshotSpace(region=target if cols is cols_t else ext,
-                             columns=cols, kind="global-harmonic")
+                             columns=cols)
         # global-harmonic snapshots are heavily rank deficient on the patch,
         # so dependent directions are dropped more aggressively here
         space = build_offline(snap, a_mat, s_mat, count=None, drop_tol=1e-8)
@@ -482,7 +480,7 @@ def run_nonlinear_study(fine_n: int = 80, coarse_n: int = 8,
                                   max(offline_counts))
     rows = []
     for L in offline_counts:
-        offline = {i: truncate(s, min(L, s.dim)) for i, s in top.items()}
+        offline = {i: truncate(s, L) for i, s in top.items()}
         state = picard_solve(coarse, nl, SOURCE, BC_LINEAR, pou, samples,
                              offline=offline)
         err = relative_errors(state.u, u_ref, A_k, M_k)

@@ -64,7 +64,7 @@ def looped_energy_min_pou(coarse, kappa):
             out[fn] += f.solve(v[fn])
         return out
 
-    B = (A + assemble_mass(fine, weight=kappa)).tocsr()
+    B = (A + assemble_mass(fine, weight=kappa.k11())).tocsr()
     p, report = pcg(apply_T, np.ones(n), M_inv=lambda v: B @ v,
                     tol=MULTIPLIER_TOL, max_it=10 * n)
     assert report.converged

@@ -51,10 +51,10 @@ def test_criterion_01_partition_of_unity_suite():
     leak = 0.0
     mask = np.zeros(fine.n_nodes, dtype=bool)
     for p in pous.values():
-        for nb in coarse.neighborhoods:
+        for i, nb in enumerate(coarse.neighborhoods):
             mask[:] = True
             mask[nb.nodes] = False
-            leak = max(leak, float(np.abs(chi_dense(p, nb.label)[mask]).max()))
+            leak = max(leak, float(np.abs(chi_dense(p, i)[mask]).max()))
     e = {k: pou_energy(p, kappa) for k, p in pous.items()}
     elapsed = time.time() - t0
     ok = (defect <= 1e-12 and leak == 0.0

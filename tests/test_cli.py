@@ -7,7 +7,9 @@ import pytest
 
 from gmsfem import cli
 from gmsfem.cli import _STUDIES, _study_config, main
-from gmsfem.coeff import read_field
+from gmsfem.coeff import anisotropic_from_scalar, read_field, write_field
+from gmsfem.fields import channels_and_inclusions
+from gmsfem.mesh import build_fine_mesh
 from gmsfem.solvers import NumericalError
 
 
@@ -98,6 +100,27 @@ def test_numerical_failure_exits_3_with_one_line(tmp_path, capsys, monkeypatch):
     assert captured.err == ("numerical failure: region 6: a+s is not "
                             "positive definite\n")
     assert captured.out == ""
+
+
+def test_energy_min_pou_solves_a_tensor_field_file(tmp_path, capsys):
+    fine = build_fine_mesh(20, 20)
+    path = tmp_path / "tensor.txt"
+    write_field(path, anisotropic_from_scalar(channels_and_inclusions(fine, 1e3)),
+                fine)
+    cfg = _cfg(tmp_path, {"fine": 20, "coarse": 4, "field": {"file": str(path)},
+                          "pou": "energy-min", "count": 3})
+    assert main(["--config", cfg, "solve"]) == 0
+    assert capsys.readouterr().out.startswith("coarse dim 75, ")
+
+
+def test_numerical_failure_names_the_region_by_its_cell_box(tmp_path, capsys):
+    # at fine 10 the stiffness/ext-stiffness pair, on the extended box,
+    # keeps a mode that the target stiffness does not see
+    cfg = _cfg(tmp_path, {"fine_n": 10})
+    assert main(["--config", cfg, "study-eigendecay"]) == 3
+    assert capsys.readouterr().err == (
+        "numerical failure: region (3, 7, 3, 7): a kept eigenvector has no "
+        "a-norm\n")
 
 
 def test_gen_field_requires_out(tmp_path):

@@ -120,16 +120,19 @@ def test_region_rejects_empty_and_outside_boxes():
                       lambda b: fine.nodes_in_cell_box(*b)]:
             with pytest.raises(ValueError, match="empty or leaves the 10x10 grid"):
                 build(box)
-    region = LocalRegion.from_cell_box(fine, (8, 10, 0, 2), label=7)
-    assert region.label == 7
+    region = LocalRegion.from_cell_box(fine, (8, 10, 0, 2))
+    assert region.cell_box == (8, 10, 0, 2)
     assert np.array_equal(region.cells, [8, 9, 18, 19])
 
 
 def test_neighborhoods_are_regions_labelled_by_coarse_node():
     fine = build_fine_mesh(12, 12)
     cm = build_coarse_mesh(fine, 4, 4)
+    # neighborhood i is omega_i: coarse node i's cells, one block each way
     for i, nb in enumerate(cm.neighborhoods):
-        assert isinstance(nb, LocalRegion) and nb.label == i
+        I, J = cm.coarse_node_ij(i)
+        box = (max(I - 1, 0) * 3, min(I + 1, 4) * 3, max(J - 1, 0) * 3, min(J + 1, 4) * 3)
+        assert isinstance(nb, LocalRegion) and nb.cell_box == box
         assert LocalRegion.from_neighborhood(nb) is nb
 
 

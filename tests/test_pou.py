@@ -7,7 +7,8 @@ import scipy.sparse as sp
 
 import gmsfem.pou as pou_module
 
-from gmsfem.coeff import CoefficientField, cell_box_from_coords
+from gmsfem.coeff import (CoefficientField, anisotropic_from_scalar,
+                          cell_box_from_coords)
 from gmsfem.fem import _triangle_geometry, assemble_mass, assemble_stiffness
 from gmsfem.fields import channels_and_inclusions
 from gmsfem.mesh import build_coarse_mesh, build_fine_mesh
@@ -45,10 +46,10 @@ def test_partition_identity(setup):
 def test_support_contained_in_neighborhood(setup):
     fine, coarse, kappa = setup
     for name, pou in _all_pous(coarse, kappa).items():
-        for nb in coarse.neighborhoods:
+        for i, nb in enumerate(coarse.neighborhoods):
             outside = np.setdiff1d(np.arange(fine.n_nodes), nb.nodes)
-            leak = np.abs(chi_dense(pou, nb.label)[outside]).max()
-            assert leak == 0.0, (name, nb.label)
+            leak = np.abs(chi_dense(pou, i)[outside]).max()
+            assert leak == 0.0, (name, i)
 
 
 def test_bilinear_is_nodal(setup):
@@ -109,6 +110,14 @@ def test_gradient_weight_tensor_field(setup):
     w = pou_gradient_weight(pou, tens, np.arange(fine.n_cells))
     assert w.shape == (2 * fine.n_cells,)
     assert np.all(w >= 0)
+
+
+def test_energy_min_on_a_tensor_field(setup):
+    # the multiplier's preconditioner weights its mass by k11, as
+    # coupling.solve_fine does, so a diagonal tensor is accepted
+    _, coarse, kappa = setup
+    pou = energy_min_pou(coarse, anisotropic_from_scalar(kappa))
+    assert pou.sum_defect() < 1e-12
 
 
 @pytest.fixture(scope="module", params=ORACLE_SIZES,

@@ -1,5 +1,7 @@
 """Snapshot spaces, offline/online reduction, and mode selection."""
 
+import re
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -73,12 +75,18 @@ def test_harmonic_snapshots_without_interior_are_unit_columns():
 
 
 def test_fine_grid_snapshots_identity(setup):
-    _, _, _, _, region = setup
+    fine, _, kappa, _, region = setup
     snap = fine_grid_snapshots(region)
     assert snap.M_snap == region.n_nodes
-    # sparse: no n x n dense identity per neighborhood
-    assert snap.columns.nnz == region.n_nodes
-    assert np.array_equal(snap.columns.toarray(), np.eye(region.n_nodes))
+    # None is the identity: no n x n identity is built per neighborhood
+    assert snap.columns is None
+    a_mat = assemble_a_form(fine, region, kappa, "kappa_mass")
+    s_mat = assemble_s_form(fine, region, kappa)
+    eye = SnapshotSpace(region, np.eye(region.n_nodes))
+    got = build_offline(snap, a_mat, s_mat, count=4)
+    want = build_offline(eye, a_mat, s_mat, count=4, drop_tol=None)
+    assert np.array_equal(got.columns, want.columns)
+    assert np.array_equal(got.eigenvalues, want.eigenvalues)
 
 
 def _neumann_pencil(fine, region, kappa):
@@ -114,7 +122,6 @@ def test_spectral_snapshots_count(setup):
     A_t, S_t = _neumann_pencil(fine, region, kappa)
     snap = spectral_snapshots(A_t, S_t, 6, region)
     assert snap.columns.shape == (region.n_nodes, 6)
-    assert snap.kind == "local-spectral"
     _assert_matches_dense_oracle(A_t, S_t, snap.columns)
     # count >= n - 1 takes the dense path: its columns are full_gen_eig's
     corner = LocalRegion.from_neighborhood(coarse.neighborhoods[0])
@@ -170,7 +177,7 @@ def test_spectral_snapshots_fail_loudly(setup, monkeypatch):
 
     monkeypatch.setattr(solvers.spla, "eigsh", no_convergence)
     monkeypatch.setattr(spaces, "full_gen_eig", no_dense)
-    with pytest.raises(NumericalError, match=f"region {region.label}: "):
+    with pytest.raises(NumericalError, match=re.escape(f"region {region.cell_box}: ")):
         spectral_snapshots(A_t, S_t, 6, region)
 
     # the dense branch (count >= n - 1) names the region too
@@ -179,7 +186,7 @@ def test_spectral_snapshots_fail_loudly(setup, monkeypatch):
 
     monkeypatch.setattr(spaces, "full_gen_eig", kernel_error)
     with pytest.raises(NumericalError,
-                       match=f"region {region.label}: kernel error"):
+                       match=re.escape(f"region {region.cell_box}: kernel error")):
         spectral_snapshots(A_t, S_t, region.n_nodes, region)
 
 
@@ -285,15 +292,15 @@ def test_assembled_forms_are_exactly_symmetric(n, c):
             forms = local_forms(fine, kappa, a_form, pou)
             for nb in coarse.neighborhoods:
                 for M in forms(nb):
-                    assert (M != M.T).nnz == 0, (name, a_form, nb.label)
+                    assert (M != M.T).nnz == 0, (name, a_form, nb.cell_box)
 
 
 def test_offline_does_not_depend_on_the_snapshot_layout(setup):
     # the rounding of the projection follows the layout of the columns, so
-    # _reduce makes them C-contiguous: F order gives the same bits
+    # build_offline makes them C-contiguous: F order gives the same bits
     fine, _, kappa, pou, region = setup
     snap = harmonic_snapshots(fine, region, [kappa])
-    f_snap = SnapshotSpace(region, np.asfortranarray(snap.columns), "harmonic")
+    f_snap = SnapshotSpace(region, np.asfortranarray(snap.columns))
     assert not f_snap.columns.flags.c_contiguous
     a_mat, s_mat = local_forms(fine, kappa, "pou_grad_mass", pou)(region)
     want = build_offline(snap, a_mat, s_mat, count=3)
@@ -319,8 +326,7 @@ def test_offline_reproduces_dense_eigenproblem(setup):
     assert rel.max() < 1e-7
     assert np.sum(np.isinf(off.eigenvalues)) == np.sum(np.isinf(lam))
     assert off.dim == 8
-    assert off.stage == "offline"
-    assert off.selection["snapshot_kind"] == "fine-grid"
+    assert off.selection == {"kept": 8, "dropped_snapshots": 0}
 
 
 def _fine_offline_at_24_4(eta, count):
@@ -348,14 +354,14 @@ def test_fine_offline_eigenpairs_are_accurate_at_high_contrast():
             sp_ = s_mat @ space.columns[:, j]
             res = np.linalg.norm(ap - lam * sp_) / (
                 np.linalg.norm(ap) + lam * np.linalg.norm(sp_))
-            assert res <= 1e-6, (space.region.label, j, res)
+            assert res <= 1e-6, (space.region.cell_box, j, res)
 
 
 @pytest.mark.parametrize("eta", [1e2, 1e4, 1e6, 1e7])
 def test_fine_offline_finds_one_inf_mode_per_neighborhood(eta):
     # the S-null mode of each Neumann stiffness is the constant
     for space, _ in _fine_offline_at_24_4(eta, 3):
-        assert np.sum(np.isinf(space.eigenvalues)) == 1, space.region.label
+        assert np.sum(np.isinf(space.eigenvalues)) == 1, space.region.cell_box
 
 
 def test_fine_offline_skips_whitening(setup, monkeypatch):
@@ -398,11 +404,11 @@ def test_fine_offline_fails_loudly(setup):
     # exactly for diagonal forms)
     n = region.n_nodes
     with pytest.raises(NumericalError,
-                       match=f"region {region.label}: .*no a-norm"):
+                       match=re.escape(f"region {region.cell_box}: ") + ".*no a-norm"):
         build_offline(snap, sp.csr_matrix((n, n)), sp.identity(n, format="csr"),
                       count=1)
-    with pytest.raises(NumericalError,
-                       match=f"region {region.label}: .*not positive definite"):
+    with pytest.raises(NumericalError, match=re.escape(f"region {region.cell_box}: ")
+                       + ".*not positive definite"):
         build_offline(snap, -2 * s_mat, s_mat, count=1)
 
 
@@ -428,12 +434,17 @@ def test_online_from_offline(setup):
     s_mat = assemble_s_form(fine, region, kappa)
     off = build_offline(snap, a_mat, s_mat, count=10)
     on = build_online(off, a_mat, s_mat, count=4)
-    assert on.dim == 4 and on.stage == "online"
+    assert on.dim == 4
     # online columns stay inside the offline span
     proj, *_ = np.linalg.lstsq(off.columns, on.columns, rcond=None)
     assert np.abs(off.columns @ proj - on.columns).max() < 1e-8
-    with pytest.raises(ValueError):
-        build_online(on, a_mat, s_mat, count=2)
+    # the online stage is the offline reduction with the offline basis as
+    # its snapshots, not whitened
+    want = build_offline(SnapshotSpace(off.region, off.columns), a_mat, s_mat,
+                         count=4, drop_tol=None)
+    assert np.array_equal(on.columns, want.columns)
+    assert np.array_equal(on.eigenvalues, want.eigenvalues)
+    assert on.selection == want.selection
 
 
 def test_truncate(setup):
@@ -446,8 +457,10 @@ def test_truncate(setup):
     assert t.dim == 3
     assert np.array_equal(t.columns, off.columns[:, :3])
     assert t.lambda_star() == off.eigenvalues[3]
-    with pytest.raises(ValueError):
-        truncate(t, 5)
+    # a count above the dimension keeps every column, as build_offline does
+    c = truncate(t, 5)
+    assert c.dim == 3 and c.selection["kept"] == 3
+    assert np.array_equal(c.columns, t.columns)
 
 
 def test_lambda_star_full_retention(setup):
@@ -502,8 +515,7 @@ def test_offline_spaces_spectral_union_matches_the_hand_written_loop(
                     assemble_mass(fine, weight=f, region=region),
                     assemble_stiffness(fine, f, region=region), 3, region).columns
                 for f in samples]
-        snap = SnapshotSpace(region=region, columns=np.hstack(cols),
-                             kind="local-spectral")
+        snap = SnapshotSpace(region=region, columns=np.hstack(cols))
         a_mat = assemble_mass(fine, weight=avg, region=region)
         s_mat = assemble_stiffness(fine, avg, region=region)
         want = build_offline(snap, a_mat, s_mat, count=4)
